@@ -7,20 +7,14 @@ baseline with L2), and prints both confusion matrices side by side.
 Run with: python3 demos/classify_systems.py
 """
 
-from phaseshape import classification_experiment, synthetic_instances
+from textwrap import indent
+
+from phaseshape import ConfusionMatrix, classification_experiment, synthetic_instances
 
 
 def show(report):
     conf = report.artifacts["confusion"]
-    labels = conf["labels"]
-    counts = conf["counts"]
-    width = max(6, max(len(s) for s in labels))
-    header = " ".join(f"{s:>{width}}" for s in labels)
-    print(f"  {'true/pred':>{width}} {header}")
-    for label, row in zip(labels, counts):
-        cells = " ".join(f"{c:>{width}d}" for c in row)
-        print(f"  {label:>{width}} {cells}")
-    print(f"  accuracy {report.metrics['accuracy']:.4f} on {report.metrics['total']} trajectories")
+    print(indent(ConfusionMatrix(conf["labels"], conf["counts"]).to_text(), "  "))
 
 
 def main():

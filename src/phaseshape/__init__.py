@@ -32,6 +32,7 @@ from .shapes import (
     ShapeConfig,
     ShapeDistribution,
     build_histogram,
+    channel_distributions,
     exhaustive_d2,
     feature_vector,
     resolve_config,
@@ -55,6 +56,7 @@ from .classify import (
     LabeledFeature,
     NNResult,
     chi2_distance,
+    distances,
     l2_distance,
     loocv,
     nn_classify,
@@ -103,6 +105,7 @@ __all__ = [
     "build_histogram",
     "shape_distribution",
     "exhaustive_d2",
+    "channel_distributions",
     "feature_vector",
     "LLEConfig",
     "LLEResult",
@@ -117,6 +120,7 @@ __all__ = [
     "LabeledFeature",
     "NNResult",
     "ConfusionMatrix",
+    "distances",
     "l2_distance",
     "chi2_distance",
     "nn_classify",

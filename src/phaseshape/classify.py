@@ -8,7 +8,7 @@ negative) use plain Euclidean distance. Evaluation is leave-one-out 1-NN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "LabeledFeature",
     "NNResult",
     "ConfusionMatrix",
+    "distances",
     "l2_distance",
     "chi2_distance",
     "METRICS",
@@ -31,22 +32,37 @@ CHI2_EPS = 1e-12
 METRICS = ("chi2", "l2")
 
 
-def _check_pair(a, b, metric: str):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValidationError(f"{metric} expects 1-D vectors, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValidationError(f"{metric} length mismatch: {a.size} vs {b.size}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValidationError(f"{metric} got non-finite entries")
-    return a, b
+def distances(vector, vectors, metric: str) -> np.ndarray:
+    """Chi2 or l2 (case-insensitive) distances from one vector to K others.
+
+    Each of the K entries equals the two-vector formula bit for bit: rows of
+    a C-contiguous stack are summed alike, and l2 is the root of a dot
+    product, as in ``np.linalg.norm``.
+    """
+    name = str(metric).lower()
+    if name not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    v = np.asarray(vector, dtype=float)
+    if v.ndim != 1:
+        raise ValidationError(f"{name} expects a 1-D vector, got shape {v.shape}")
+    rows = [np.asarray(r, dtype=float) for r in vectors]
+    for r in rows:
+        if r.shape != v.shape:
+            raise ValidationError(f"{name} expects 1-D vectors of length {v.size}, got {r.shape}")
+    others = np.array(rows).reshape(len(rows), v.size)
+    if not (np.isfinite(v).all() and np.isfinite(others).all()):
+        raise ValidationError(f"{name} got non-finite entries")
+    if name == "l2":
+        diff = v - others
+        return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    if (v < 0).any() or (others < 0).any():
+        raise ValidationError("chi2 distance requires nonnegative entries")
+    return 0.5 * np.sum((v - others) ** 2 / (v + others + CHI2_EPS), axis=1)
 
 
 def l2_distance(a, b) -> float:
     """Euclidean distance between two equal-length vectors."""
-    a, b = _check_pair(a, b, "l2")
-    return float(np.linalg.norm(a - b))
+    return float(distances(a, [b], "l2")[0])
 
 
 def chi2_distance(a, b) -> float:
@@ -55,19 +71,7 @@ def chi2_distance(a, b) -> float:
     Intended for nonnegative histogram masses; negative entries are
     rejected because the denominator could vanish or flip sign.
     """
-    a, b = _check_pair(a, b, "chi2")
-    if (a < 0).any() or (b < 0).any():
-        raise ValidationError("chi2 distance requires nonnegative entries")
-    return float(0.5 * np.sum((a - b) ** 2 / (a + b + CHI2_EPS)))
-
-
-def _metric_fn(metric: str) -> Callable[[np.ndarray, np.ndarray], float]:
-    name = str(metric).lower()
-    if name == "chi2":
-        return chi2_distance
-    if name == "l2":
-        return l2_distance
-    raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    return float(distances(a, [b], "chi2")[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +111,12 @@ def nn_classify(vector, items: Sequence[LabeledFeature], metric: str = "chi2") -
     Exact distance ties resolve to the lexicographically smallest item id,
     which makes the outcome independent of item order.
     """
-    fn = _metric_fn(metric)
+    d = distances(vector, [item.vector for item in items], metric)
     if len(items) == 0:
         raise ValidationError("need at least one reference item")
-    best = None
-    for item in items:
-        d = fn(vector, item.vector)
-        if best is None or d < best[0] or (d == best[0] and item.id < best[1]):
-            best = (d, item.id, item.label)
-    return NNResult(label=best[2], neighbor_id=best[1], distance=best[0])
+    best = min(np.flatnonzero(d == d.min()), key=lambda k: items[k].id)
+    item = items[best]
+    return NNResult(label=item.label, neighbor_id=item.id, distance=float(d[best]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +165,8 @@ class ConfusionMatrix:
             " ".join([lab.rjust(width)] + [str(int(c)).rjust(width) for c in row])
             for lab, row in zip(self.labels, self.counts)
         ]
-        return "\n".join([head] + rows + [f"accuracy {self.accuracy:.4f}"])
+        tail = f"accuracy {self.accuracy:.4f} ({self.total} instances)"
+        return "\n".join([head] + rows + [tail])
 
     def to_dict(self) -> dict:
         return {

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import chaos_feature_vector
+from .classify import ConfusionMatrix
 from .embedding import EmbeddingParams, estimate_delay
 from .errors import NumericalError, ValidationError
 from .models import (
@@ -31,20 +32,19 @@ from .models import (
     ROSSLER_DT,
     LorenzParams,
     RosslerParams,
+    lorenz_generate,
     params_dict,
+    rossler_generate,
 )
 from .experiments import (
-    DEFAULT_DELAYS,
     LORENZ_LENGTHS,
     ROSSLER_LENGTHS,
     classification_experiment,
-    generate_system,
     load_dataset,
     stability_experiment,
 )
-from .series import load_csv, read_meta, write_csv, write_meta
-from .shapes import KINDS, NORMALIZATIONS, ShapeConfig, shape_distribution
-from .embedding import delay_embed
+from .series import load_csv, sidecar_dt, write_csv, write_meta
+from .shapes import KINDS, NORMALIZATIONS, ShapeConfig, channel_distributions
 
 __all__ = ["main", "build_parser"]
 
@@ -111,12 +111,7 @@ def _ic_arg(text: str) -> tuple[float, ...]:
 
 def _load_input(path: str, dt_flag: float | None):
     """Read an input CSV; dt comes from the flag, else the sidecar, else 1."""
-    if dt_flag is not None:
-        dt = dt_flag
-    else:
-        meta = read_meta(path) or {}
-        dt = float(meta.get("dt", 1.0))
-    return load_csv(path, dt=dt)
+    return load_csv(path, dt=dt_flag if dt_flag is not None else sidecar_dt(path))
 
 
 def _channel_delays(series, tau_flag):
@@ -156,8 +151,6 @@ def cmd_gen_model(args) -> int:
         )
         if any(v is not None for v in (args.a, args.b, args.c)):
             raise ValidationError("--a/--b/--c apply to rossler, not lorenz")
-        from .models import lorenz_generate
-
         series = lorenz_generate(config, params)
     else:
         params = RosslerParams(
@@ -167,8 +160,6 @@ def cmd_gen_model(args) -> int:
         )
         if any(v is not None for v in (args.sigma, args.rho, args.beta)):
             raise ValidationError("--sigma/--rho/--beta apply to lorenz, not rossler")
-        from .models import rossler_generate
-
         series = rossler_generate(config, params)
 
     out = Path(args.out) if args.out else Path(f"{args.system}.csv")
@@ -196,28 +187,22 @@ def cmd_features(args) -> int:
     series = _load_input(args.input, args.dt)
     seed = _seed_or_env(args.seed, 0)
     delays = _channel_delays(series, args.tau)
-    channels = []
-    masses = []
-    for ci, (ch, dl) in enumerate(zip(series.channels, delays)):
-        params = EmbeddingParams(m=args.m, tau=dl["tau"])
-        cfg = ShapeConfig(
-            kind=args.kind,
-            n_samples=args.samples,
-            bins=args.bins,
-            delta=args.delta,
-            gamma=args.gamma,
-            seed=seed,
-            normalization=args.normalization,
-        )
-        try:
-            dist = shape_distribution(delay_embed(ch, params), cfg)
-        except (ValidationError, NumericalError) as e:
-            raise type(e)(f"channel {ci}: {e}") from e
-        channels.append(
-            {"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"],
-             "m": args.m, "distribution": dist.to_dict()}
-        )
-        masses.append(dist.mass)
+    embeds = [EmbeddingParams(m=args.m, tau=dl["tau"]) for dl in delays]
+    cfg = ShapeConfig(
+        kind=args.kind,
+        n_samples=args.samples,
+        bins=args.bins,
+        delta=args.delta,
+        gamma=args.gamma,
+        seed=seed,
+        normalization=args.normalization,
+    )
+    dists = channel_distributions(series, embeds, cfg)
+    channels = [
+        {"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"],
+         "m": args.m, "distribution": dist.to_dict()}
+        for ch, dl, dist in zip(series.channels, delays, dists)
+    ]
     payload = {
         "input": str(args.input),
         "kind": args.kind,
@@ -228,7 +213,7 @@ def cmd_features(args) -> int:
         "normalization": args.normalization,
         "dt": series.dt,
         "channels": channels,
-        "vector": np.concatenate(masses).tolist(),
+        "vector": np.concatenate([d.mass for d in dists]).tolist(),
     }
     if args.out:
         _write_json(args.out, payload)
@@ -372,12 +357,7 @@ def cmd_classify(args) -> int:
         jobs=args.jobs,
     )
     conf = report.artifacts["confusion"]
-    labels = conf["labels"]
-    width = max(len("true\\pred"), *(len(l) for l in labels), 6)
-    print(" ".join(["true\\pred".rjust(width)] + [l.rjust(width) for l in labels]))
-    for lab, row in zip(labels, conf["counts"]):
-        print(" ".join([lab.rjust(width)] + [str(c).rjust(width) for c in row]))
-    print(f"accuracy {report.metrics['accuracy']:.4f} ({conf['total']} instances)")
+    print(ConfusionMatrix(conf["labels"], conf["counts"]).to_text())
     if args.out:
         _write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")

@@ -7,7 +7,7 @@ dimension from the false-nearest-neighbor fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,14 +57,11 @@ class PhaseSpace:
     params : EmbeddingParams
     source_len : int
         Length N of the originating series.
-    time_index : ndarray of shape (P,)
-        Start index of each delay vector (0-based).
     """
 
     points: np.ndarray
     params: EmbeddingParams
     source_len: int
-    time_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -82,14 +79,16 @@ class PhaseSpace:
             raise ValidationError(f"expected {expected} points, got {pts.shape[0]}")
         if pts.shape[1] != self.params.m:
             raise ValidationError(f"points have dimension {pts.shape[1]}, expected m={self.params.m}")
-        ti = np.arange(pts.shape[0])
         pts.setflags(write=False)
-        ti.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "time_index", ti)
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def time_index(self) -> np.ndarray:
+        """Start index of each delay vector (0-based), shape (P,)."""
+        return np.arange(len(self))
 
     @property
     def dimension(self) -> int:

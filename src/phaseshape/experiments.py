@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import chaos_feature_vector
-from .classify import LabeledFeature, chi2_distance, l2_distance, loocv
-from .embedding import EmbeddingParams, delay_embed, estimate_delay
+from .classify import LabeledFeature, distances, loocv
+from .embedding import EmbeddingParams, estimate_delay
 from .errors import ValidationError
 from .models import (
     GenConfig,
@@ -30,8 +30,8 @@ from .models import (
     lorenz_generate,
     rossler_generate,
 )
-from .series import MultiSeries, load_csv, read_meta
-from .shapes import ShapeConfig, feature_vector, shape_distribution
+from .series import MultiSeries, load_csv, sidecar_dt
+from .shapes import ShapeConfig, channel_distributions, feature_vector
 
 __all__ = [
     "ExperimentReport",
@@ -169,9 +169,6 @@ def stability_experiment(
     and smallest cross-system distance: a stable descriptor keeps the
     former below the latter.
     """
-    if metric not in ("chi2", "l2"):
-        raise ValidationError(f"metric must be chi2 or l2, got {metric!r}")
-    dist_fn = chi2_distance if metric == "chi2" else l2_distance
     lor = sorted(int(n) for n in lorenz_lengths)
     ros = sorted(int(n) for n in rossler_lengths)
     plan = [("lorenz", lor), ("rossler", ros)]
@@ -196,23 +193,20 @@ def stability_experiment(
         cfg = ShapeConfig(
             kind=kind, n_samples=n_samples, bins=bins, seed=_derived_seed(seed, idx)
         )
-        dists = [shape_distribution(delay_embed(ch, params), cfg) for ch in series.channels]
-        vec = np.concatenate([d.mass for d in dists])
-        return vec, [d.to_dict() for d in dists]
+        return channel_distributions(series, [params] * len(series), cfg)
 
     results = _map(one, tasks, jobs)
-    vectors = [r[0] for r in results]
+    vectors = [np.concatenate([d.mass for d in dists]) for dists in results]
+    dmat = np.array([distances(v, vectors, metric) for v in vectors])
 
-    k = len(tasks)
-    dmat = np.zeros((k, k))
-    within, cross = [], []
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = dist_fn(vectors[i], vectors[j])
-            dmat[i, j] = dmat[j, i] = d
-            (cross, within)[tasks[i][1] == tasks[j][1]].append(d)
-    max_within = max(within) if within else None
-    min_cross = min(cross) if cross else None
+    # Each unordered pair once, from the upper triangle
+    rows, cols = np.triu_indices(len(tasks), 1)
+    systems = np.array([system for _, system, _ in tasks])
+    same = systems[rows] == systems[cols]
+    pairs = dmat[rows, cols]
+    within, cross = pairs[same], pairs[~same]
+    max_within = float(within.max()) if within.size else None
+    min_cross = float(cross.min()) if cross.size else None
     separated = None
     if max_within is not None and min_cross is not None:
         separated = bool(min_cross > max_within)
@@ -238,7 +232,7 @@ def stability_experiment(
         },
         artifacts={
             "instances": [
-                {"system": s, "length": n, "channels": results[i][1]}
+                {"system": s, "length": n, "channels": [d.to_dict() for d in results[i]]}
                 for i, s, n in tasks
             ],
             "distance_matrix": dmat,
@@ -390,9 +384,7 @@ def load_dataset(path) -> list[Instance]:
     instances = []
     for lab in labels:
         for f in sorted((root / lab).glob("*.csv")):
-            meta = read_meta(f) or {}
-            dt = float(meta.get("dt", 1.0))
-            series = load_csv(f, dt=dt).with_label(lab)
+            series = load_csv(f, dt=sidecar_dt(f)).with_label(lab)
             instances.append(Instance(id=f"{lab}/{f.stem}", series=series))
     if not instances:
         raise ValidationError(f"no CSV instances under {root}")

@@ -23,6 +23,7 @@ __all__ = [
     "load_csv",
     "write_csv",
     "read_meta",
+    "sidecar_dt",
     "write_meta",
     "meta_path",
 ]
@@ -249,11 +250,19 @@ def write_meta(csv_path, meta: dict) -> Path:
 
 
 def read_meta(csv_path) -> dict | None:
-    """Read the JSON sidecar for ``csv_path`` if one exists, else None."""
+    """Read the JSON object in the sidecar of ``csv_path`` if one exists, else None."""
     mp = meta_path(csv_path)
     if not mp.is_file():
         return None
     try:
-        return json.loads(mp.read_text())
+        meta = json.loads(mp.read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise ValidationError(f"cannot read sidecar {mp}: {e}") from e
+    if not isinstance(meta, dict):
+        raise ValidationError(f"sidecar {mp} must hold a JSON object, got {type(meta).__name__}")
+    return meta
+
+
+def sidecar_dt(csv_path):
+    """The sidecar's "dt" entry as stored (``TimeSeries`` validates it), else 1.0."""
+    return (read_meta(csv_path) or {}).get("dt", 1.0)

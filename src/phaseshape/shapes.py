@@ -13,6 +13,7 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -29,6 +30,7 @@ __all__ = [
     "build_histogram",
     "shape_distribution",
     "exhaustive_d2",
+    "channel_distributions",
     "feature_vector",
     "KINDS",
     "NORMALIZATIONS",
@@ -197,7 +199,7 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
         d = np.linalg.norm(pts[i] - pts[j], axis=1)
         if cfg.kind == "D2":
             return d
-        tsep = np.abs(ps.time_index[i] - ps.time_index[j])
+        tsep = np.abs(i - j)
         return np.exp(-cfg.gamma * tsep) * d
 
     if cfg.kind == "D3":
@@ -305,19 +307,26 @@ def exhaustive_d2(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:
     return build_histogram(pdist(ps.points), cfg)
 
 
-def feature_vector(series: MultiSeries, embed: EmbeddingParams, config: ShapeConfig) -> np.ndarray:
-    """Concatenated per-channel shape-distribution masses.
+def channel_distributions(
+    series: MultiSeries, embeds: Sequence[EmbeddingParams], config: ShapeConfig
+) -> list[ShapeDistribution]:
+    """Shape distribution of each channel k, delay-embedded with ``embeds[k]``.
 
-    Each channel is delay-embedded with the same parameters and summarized
-    by its shape distribution; the masses are concatenated in channel order,
-    giving a vector of length channels * bins. Errors are re-raised with the
-    offending channel index.
+    Errors are re-raised with the offending channel index.
     """
-    parts = []
-    for ci, ch in enumerate(series.channels):
+    if len(embeds) != len(series):
+        raise ValidationError(f"need one embedding per channel, got {len(embeds)}")
+    out = []
+    for ci, (ch, embed) in enumerate(zip(series.channels, embeds)):
         try:
-            ps = delay_embed(ch, embed)
-            parts.append(shape_distribution(ps, config).mass)
+            out.append(shape_distribution(delay_embed(ch, embed), config))
         except (ValidationError, NumericalError) as e:
             raise type(e)(f"channel {ci}: {e}") from e
-    return np.concatenate(parts)
+    return out
+
+
+def feature_vector(series: MultiSeries, embed: EmbeddingParams, config: ShapeConfig) -> np.ndarray:
+    """Concatenated ``channel_distributions`` masses, every channel embedded
+    alike: a vector of length channels * bins."""
+    dists = channel_distributions(series, [embed] * len(series), config)
+    return np.concatenate([d.mass for d in dists])

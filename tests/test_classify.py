@@ -7,6 +7,7 @@ from phaseshape import (
     LabeledFeature,
     ValidationError,
     chi2_distance,
+    distances,
     l2_distance,
     loocv,
     nn_classify,
@@ -86,6 +87,80 @@ class TestChi2:
         assert d == chi2_distance(b, a)
 
 
+def _chi2_pair(a, b):
+    return float(0.5 * np.sum((a - b) ** 2 / (a + b + 1e-12)))
+
+
+def _l2_pair(a, b):
+    return float(np.linalg.norm(a - b))
+
+
+@st.composite
+def _vector_sets(draw):
+    """K vectors of length D, with some rows exact copies of others."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=40))
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vs = rng.normal(size=(k, d)) if signed else rng.uniform(0.0, 1.0, size=(k, d)) ** 3
+    vs *= 10.0 ** draw(st.integers(min_value=-3, max_value=3))
+    for i in range(k):
+        src = draw(st.integers(min_value=0, max_value=k))
+        if src < i:
+            vs[i] = vs[src]
+    return vs, signed
+
+
+class TestDistances:
+    @given(_vector_sets())
+    @settings(deadline=None, max_examples=150)
+    def test_equals_per_pair_formula(self, case):
+        vs, signed = case
+        for v in vs:
+            got = distances(v, vs, "l2")
+            assert got.tolist() == [_l2_pair(v, w) for w in vs]
+            if not signed:
+                got = distances(v, list(vs), "chi2")
+                assert got.tolist() == [_chi2_pair(v, w) for w in vs]
+
+    @given(_vector_sets())
+    @settings(deadline=None, max_examples=100)
+    def test_nn_classify_matches_oracle(self, case):
+        vs, signed = case
+        # Ids in reverse row order, so the smallest id is the last tied row
+        items = [
+            LabeledFeature(f"id-{len(vs) - k:02d}", f"l{k % 2}", v) for k, v in enumerate(vs)
+        ]
+        for metric, pair in (("l2", _l2_pair), ("chi2", _chi2_pair)):
+            if metric == "chi2" and signed:
+                continue
+            for v in vs:
+                best = min((pair(v, it.vector), it.id, it.label) for it in items)
+                res = nn_classify(v, items, metric=metric)
+                assert (res.distance, res.neighbor_id, res.label) == best
+
+    def test_duplicates_tie_to_smallest_id(self):
+        v = np.array([0.2, 0.3, 0.5])
+        items = [LabeledFeature(i, "x", v) for i in ("c", "a", "b")]
+        assert distances(v, [it.vector for it in items], "chi2").tolist() == [0.0] * 3
+        assert nn_classify(v, items).neighbor_id == "a"
+
+    def test_empty_set(self):
+        assert distances([1.0, 2.0], [], "l2").shape == (0,)
+
+    def test_query_must_be_1d(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            distances([[1.0, 2.0]], [[1.0, 2.0]], "l2")
+
+    def test_rows_must_be_1d(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            distances([1.0, 2.0], [[[1.0, 2.0]]], "l2")
+
+    def test_non_finite_row(self):
+        with pytest.raises(ValidationError, match="non-finite"):
+            distances([1.0, 2.0], [[1.0, np.inf]], "l2")
+
+
 class TestLabeledFeature:
     def test_fields(self):
         f = LabeledFeature("a-01", "a", [1.0, 2.0])
@@ -145,6 +220,20 @@ class TestNNClassify:
         with pytest.raises(ValidationError):
             nn_classify([0.5, 0.5], [], metric="l2")
 
+    def test_mismatched_item_length(self):
+        items = [LabeledFeature("a-0", "a", [0.5, 0.5]), LabeledFeature("b-0", "b", [1.0])]
+        for metric in ("chi2", "l2"):
+            with pytest.raises(ValidationError, match="length 2"):
+                nn_classify([0.5, 0.5], items, metric=metric)
+
+    def test_negative_entries_under_chi2(self):
+        items = [LabeledFeature("a-0", "a", [0.5, 0.5]), LabeledFeature("b-0", "b", [-0.5, 1.5])]
+        with pytest.raises(ValidationError, match="nonnegative"):
+            nn_classify([0.5, 0.5], items, metric="chi2")
+        with pytest.raises(ValidationError, match="nonnegative"):
+            nn_classify([-0.5, 1.5], items[:1], metric="chi2")
+        assert nn_classify([-0.5, 1.5], items, metric="l2").neighbor_id == "b-0"
+
 
 class TestConfusionMatrix:
     def test_accuracy(self):
@@ -169,6 +258,15 @@ class TestConfusionMatrix:
         text = cm.to_text()
         assert "lorenz" in text and "rossler" in text
         assert "accuracy 0.9750" in text
+
+    def test_to_text_layout(self):
+        cm = ConfusionMatrix(("lorenz", "rossler"), np.array([[19, 1], [0, 20]]))
+        assert cm.to_text().splitlines() == [
+            "true\\pred    lorenz   rossler",
+            "   lorenz        19         1",
+            "  rossler         0        20",
+            "accuracy 0.9750 (40 instances)",
+        ]
 
     def test_to_dict(self):
         cm = ConfusionMatrix(("a", "b"), np.array([[2, 0], [1, 3]]))

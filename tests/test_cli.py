@@ -115,6 +115,14 @@ class TestFeatures:
         assert main(["features", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", ['{"dt": "abc"}', '{"dt": null}', "[1, 2]"])
+    def test_malformed_sidecar(self, tmp_path, capsys, payload):
+        path = _sine_csv(tmp_path / "sine.csv")
+        (tmp_path / "sine.meta.json").write_text(payload)
+        assert main(["features", str(path), "--tau", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_repeat_runs_identical(self, rossler_csv, capsys):
         assert main(["features", str(rossler_csv), "--tau", "8", "--samples", "300"]) == 0
         first = capsys.readouterr().out

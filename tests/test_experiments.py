@@ -303,6 +303,14 @@ class TestLoadDataset:
         assert rep.metrics["total"] == 4
         assert rep.metrics["labels"] == ["fast", "slow"]
 
+    @pytest.mark.parametrize("payload", ['{"dt": "abc"}', '{"dt": null}', "[1, 2]"])
+    def test_malformed_sidecar(self, tmp_path, payload):
+        self._write(tmp_path, "a", "one")
+        self._write(tmp_path, "b", "two")
+        (tmp_path / "b" / "two.meta.json").write_text(payload)
+        with pytest.raises(ValidationError, match="dt|JSON object"):
+            load_dataset(tmp_path)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ValidationError, match="not found"):
             load_dataset(tmp_path / "absent")

@@ -10,7 +10,7 @@ from phaseshape import (
     write_csv,
     write_meta,
 )
-from phaseshape.series import meta_path
+from phaseshape.series import meta_path, sidecar_dt
 
 
 class TestTimeSeries:
@@ -210,6 +210,21 @@ class TestMetaSidecar:
 
     def test_missing_sidecar_is_none(self, tmp_path):
         assert read_meta(tmp_path / "no.csv") is None
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", "3.5", '"dt"', "null"])
+    def test_non_object_sidecar(self, tmp_path, payload):
+        csv = tmp_path / "run.csv"
+        meta_path(csv).write_text(payload)
+        with pytest.raises(ValidationError, match="JSON object"):
+            read_meta(csv)
+
+    def test_sidecar_dt(self, tmp_path):
+        csv = tmp_path / "run.csv"
+        assert sidecar_dt(csv) == 1.0
+        write_meta(csv, {"system": "lorenz"})
+        assert sidecar_dt(csv) == 1.0
+        write_meta(csv, {"dt": "abc"})
+        assert sidecar_dt(csv) == "abc"
 
     def test_corrupt_sidecar(self, tmp_path):
         csv = tmp_path / "run.csv"

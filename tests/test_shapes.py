@@ -10,6 +10,7 @@ from phaseshape import (
     TimeSeries,
     ValidationError,
     build_histogram,
+    channel_distributions,
     delay_embed,
     exhaustive_d2,
     feature_vector,
@@ -346,6 +347,27 @@ class TestFeatureVector:
         bad = lorenz_generate(GenConfig(n=40, seed=0))
         with pytest.raises(ValidationError, match="channel 0"):
             feature_vector(bad, EmbeddingParams(3, 30), ShapeConfig(n_samples=100))
+
+    def test_channel_distributions_match_single_channel_path(self, lorenz_default):
+        short = lorenz_default.prefix(700)
+        embeds = [EmbeddingParams(3, 11), EmbeddingParams(2, 5), EmbeddingParams(4, 3)]
+        cfg = ShapeConfig(kind="DT1", n_samples=900, bins=20, seed=3)
+        dists = channel_distributions(short, embeds, cfg)
+        assert len(dists) == 3
+        for ch, e, dist in zip(short.channels, embeds, dists):
+            ref = shape_distribution(delay_embed(ch, e), cfg)
+            assert dist.mass.tolist() == ref.mass.tolist()
+            assert dist.to_dict() == ref.to_dict()
+
+    def test_channel_distributions_name_the_channel(self, lorenz_default):
+        short = lorenz_default.prefix(100)
+        embeds = [EmbeddingParams(3, 11), EmbeddingParams(3, 11), EmbeddingParams(3, 60)]
+        with pytest.raises(ValidationError, match="^channel 2: .*too short"):
+            channel_distributions(short, embeds, ShapeConfig(n_samples=100))
+
+    def test_channel_distributions_need_one_embedding_per_channel(self, lorenz_default):
+        with pytest.raises(ValidationError, match="one embedding per channel"):
+            channel_distributions(lorenz_default, [EmbeddingParams(3, 11)], ShapeConfig())
 
     def test_deterministic(self, rossler_default):
         short = rossler_default.prefix(500)
