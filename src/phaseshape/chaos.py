@@ -119,23 +119,26 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
     return LLEConfig(theiler=theiler, k_max=k_max)
 
 
+def _distance_blocks(pts: np.ndarray):
+    """Yield (row indices, distances from those rows to every point), CHUNK
+    rows at a time: the one pairwise kernel behind NN, diameter and C(r)."""
+    for s in range(0, len(pts), CHUNK):
+        rows = np.arange(s, min(s + CHUNK, len(pts)))
+        yield rows, np.linalg.norm(pts[s : s + CHUNK, None, :] - pts[None, :, :], axis=2)
+
+
 def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
     """Index of each point's nearest neighbor outside the theiler window."""
     p = len(pts)
-    idx = np.arange(p)
-    nn = np.empty(p, dtype=int)
-    nnd = np.empty(p)
-    for s in range(0, p, CHUNK):
-        e = min(s + CHUNK, p)
-        d = np.linalg.norm(pts[s:e, None, :] - pts[None, :, :], axis=2)
-        mask = np.abs(idx[s:e, None] - idx[None, :]) <= theiler
-        d[mask] = np.inf
-        nn[s:e] = np.argmin(d, axis=1)
-        nnd[s:e] = d[np.arange(e - s), nn[s:e]]
-    if not np.isfinite(nnd).all():
+    # The middle point is the last with a neighbor beyond the window.
+    if p <= 2 * theiler + 1:
         raise ValidationError(
             f"theiler window {theiler} leaves some point with no admissible neighbor"
         )
+    nn = np.empty(p, dtype=int)
+    for rows, d in _distance_blocks(pts):
+        d[np.abs(rows[:, None] - np.arange(p)) <= theiler] = np.inf
+        nn[rows] = np.argmin(d, axis=1)
     return nn
 
 
@@ -238,29 +241,32 @@ def lle_rosenstein(
 
 def attractor_diameter(ps: PhaseSpace) -> float:
     """Largest pairwise distance between reconstructed points."""
-    pts = ps.points
-    dia = 0.0
-    for s in range(0, len(pts), CHUNK):
-        e = min(s + CHUNK, len(pts))
-        d = np.linalg.norm(pts[s:e, None, :] - pts[None, :, :], axis=2)
-        dia = max(dia, float(d.max()))
-    return dia
+    return max(float(d.max()) for _, d in _distance_blocks(ps.points))
 
 
-def _pair_fractions(pts: np.ndarray, radii: np.ndarray, theiler: int) -> np.ndarray:
-    """Fraction of pairs with j - i > theiler and distance <= r, per radius."""
+def _default_radii(ps: PhaseSpace) -> np.ndarray:
+    """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter."""
+    dia = attractor_diameter(ps)
+    if dia <= 0:
+        raise ValidationError("all points coincide; correlation dimension undefined")
+    return np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
+
+
+def _pair_fractions(pts: np.ndarray, radii, theiler) -> np.ndarray:
+    """Fraction of pairs with j - i > theiler and distance <= r, per radius;
+    the one place every C(r) entry point validates theiler and the radii."""
+    if not (isinstance(theiler, (int, np.integer)) and theiler >= 0):
+        raise ValidationError(f"theiler must be an integer >= 0, got {theiler!r}")
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
+        raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
     p = len(pts)
-    idx = np.arange(p)
     counts = np.zeros(len(radii))
     total = 0
-    for s in range(0, p, CHUNK):
-        e = min(s + CHUNK, p)
-        d = np.linalg.norm(pts[s:e, None, :] - pts[None, :, :], axis=2)
-        mask = (idx[None, :] - idx[s:e, None]) > theiler
-        dm = d[mask]
+    for rows, d in _distance_blocks(pts):
+        dm = d[np.arange(p) - rows[:, None] > theiler]
         total += dm.size
-        for q, r in enumerate(radii):
-            counts[q] += (dm <= r).sum()
+        counts += [(dm <= r).sum() for r in radii]
     if total < 2:
         raise ValidationError(
             f"theiler window {theiler} leaves {total} admissible pairs; need at least 2"
@@ -276,13 +282,8 @@ def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
     Accepts a single radius (returns a float) or a sequence of radii
     (returns an array of the same length).
     """
-    if not (isinstance(theiler, (int, np.integer)) and theiler >= 0):
-        raise ValidationError(f"theiler must be an integer >= 0, got {theiler!r}")
-    radii = np.atleast_1d(np.asarray(r, dtype=float))
-    if radii.ndim != 1 or radii.size == 0 or (radii < 0).any():
-        raise ValidationError(f"radii must be nonnegative reals, got {r!r}")
-    c = _pair_fractions(ps.points, radii, int(theiler))
-    return float(c[0]) if np.isscalar(r) or np.ndim(r) == 0 else c
+    c = _pair_fractions(ps.points, np.atleast_1d(r), theiler)
+    return float(c[0]) if np.ndim(r) == 0 else c
 
 
 def _dimension_from(radii: np.ndarray, c: np.ndarray) -> float:
@@ -304,16 +305,10 @@ def correlation_dimension(
     diameter. Radii where C(r) is 0 or 1 carry no slope information and are
     dropped; fewer than 3 useful radii raise NumericalError.
     """
-    if radii is None:
-        dia = attractor_diameter(ps)
-        if dia <= 0:
-            raise ValidationError("all points coincide; correlation dimension undefined")
-        radii = np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
-    radii = np.asarray(radii, dtype=float)
+    radii = _default_radii(ps) if radii is None else np.asarray(radii, dtype=float)
     if radii.ndim != 1 or len(radii) < 3 or (radii <= 0).any():
         raise ValidationError("need at least 3 positive radii")
-    c = _pair_fractions(ps.points, radii, int(theiler))
-    return _dimension_from(radii, c)
+    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler))
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,13 +379,11 @@ def chaos_feature_vector(
     if config is None:
         config = default_lle_config(ps)
     res = lle_rosenstein(ps, config, dt=series.dt)
-    dia = attractor_diameter(ps)
-    radii = np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
+    radii = _default_radii(ps)
     integrals = _pair_fractions(ps.points, radii, config.theiler)
-    corr_dim = _dimension_from(radii, integrals)
     return ChaosFeatureVector(
         lambda1=res.lambda1,
-        corr_dim=corr_dim,
+        corr_dim=_dimension_from(radii, integrals),
         integrals=integrals,
         radii=radii,
         theiler=config.theiler,

@@ -32,6 +32,14 @@ CHI2_EPS = 1e-12
 METRICS = ("chi2", "l2")
 
 
+def _metric_name(metric) -> str:
+    """The METRICS entry that ``metric`` names, case-insensitively."""
+    name = str(metric).lower()
+    if name not in METRICS:
+        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    return name
+
+
 def distances(vector, vectors, metric: str) -> np.ndarray:
     """Chi2 or l2 (case-insensitive) distances from one vector to K others.
 
@@ -39,9 +47,7 @@ def distances(vector, vectors, metric: str) -> np.ndarray:
     a C-contiguous stack are summed alike, and l2 is the root of a dot
     product, as in ``np.linalg.norm``.
     """
-    name = str(metric).lower()
-    if name not in METRICS:
-        raise ValidationError(f"metric must be one of {METRICS}, got {metric!r}")
+    name = _metric_name(metric)
     v = np.asarray(vector, dtype=float)
     if v.ndim != 1:
         raise ValidationError(f"{name} expects a 1-D vector, got shape {v.shape}")

@@ -25,7 +25,7 @@ import numpy as np
 from .chaos import chaos_feature_vector
 from .classify import ConfusionMatrix
 from .embedding import EmbeddingParams, estimate_delay
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, channel_errors
 from .models import (
     GenConfig,
     LORENZ_DT,
@@ -116,24 +116,27 @@ def _load_input(path: str, dt_flag: float | None):
 
 def _channel_delays(series, tau_flag):
     """Resolve per-channel delays: explicit flag or per-channel estimate."""
+    if tau_flag is not None:
+        return [{"tau": int(tau_flag), "method": "flag"} for _ in series.channels]
     out = []
     for ci, ch in enumerate(series.channels):
-        if tau_flag is not None:
-            out.append({"tau": int(tau_flag), "method": "flag"})
-        else:
-            try:
-                est = estimate_delay(ch)
-            except (ValidationError, NumericalError) as e:
-                raise type(e)(f"channel {ci}: {e}") from e
-            out.append({"tau": est.tau, "method": est.method})
+        with channel_errors(ci):
+            est = estimate_delay(ch)
+        out.append({"tau": est.tau, "method": est.method})
     return out
 
 
-def _write_json(path, payload) -> None:
+def _emit(payload, out) -> None:
+    """Write the payload as JSON to ``out``, or print it when no path is given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if not out:
+        print(text)
+        return
     try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(out).write_text(text + "\n")
     except OSError as e:
-        raise ValidationError(f"cannot write {path}: {e}") from e
+        raise ValidationError(f"cannot write {out}: {e}") from e
+    print(f"wrote {out}")
 
 
 # ---------------------------------------------------------------- gen-model
@@ -215,11 +218,7 @@ def cmd_features(args) -> int:
         "channels": channels,
         "vector": np.concatenate([d.mass for d in dists]).tolist(),
     }
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(payload, args.out)
     return 0
 
 
@@ -233,19 +232,16 @@ def cmd_chaos(args) -> int:
     vectors = []
     for ci, (ch, dl) in enumerate(zip(series.channels, delays)):
         params = EmbeddingParams(m=args.m, tau=dl["tau"])
-        try:
+        with channel_errors(ci):
             cv = chaos_feature_vector(ch, params)
-        except (ValidationError, NumericalError) as e:
-            raise type(e)(f"channel {ci}: {e}") from e
         if cv.low_r2:
             print(
                 f"warning: channel {ci} ({ch.name}): divergence fit R^2 "
                 f"{cv.r2:.4f} is below 0.95; lambda1 may be unreliable",
                 file=sys.stderr,
             )
-        entry = {"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"], "m": args.m}
-        entry.update(cv.to_dict())
-        channels.append(entry)
+        channels.append({"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"],
+                         "m": args.m, **cv.to_dict()})
         vectors.append(cv.vector)
     payload = {
         "input": str(args.input),
@@ -254,11 +250,7 @@ def cmd_chaos(args) -> int:
         "channels": channels,
         "vector": np.concatenate(vectors).tolist(),
     }
-    if args.out:
-        _write_json(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(payload, args.out)
     return 0
 
 
@@ -359,8 +351,7 @@ def cmd_classify(args) -> int:
     conf = report.artifacts["confusion"]
     print(ConfusionMatrix(conf["labels"], conf["counts"]).to_text())
     if args.out:
-        _write_json(args.out, report.to_dict())
-        print(f"wrote {args.out}")
+        _emit(report.to_dict(), args.out)
     return 0
 
 

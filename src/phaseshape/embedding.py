@@ -55,28 +55,17 @@ class PhaseSpace:
     ----------
     points : ndarray of shape (P, m)
     params : EmbeddingParams
-    source_len : int
-        Length N of the originating series.
     """
 
     points: np.ndarray
     params: EmbeddingParams
-    source_len: int
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError(f"points must be a 2-D array, got shape {pts.shape}")
+        if pts.ndim != 2 or pts.shape[0] < 1:
+            raise ValidationError(f"points must be a non-empty 2-D array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValidationError("points contain non-finite values")
-        expected = self.source_len - (self.params.m - 1) * self.params.tau
-        if expected < 1:
-            raise ValidationError(
-                f"source of length {self.source_len} is too short for "
-                f"m={self.params.m}, tau={self.params.tau}"
-            )
-        if pts.shape[0] != expected:
-            raise ValidationError(f"expected {expected} points, got {pts.shape[0]}")
         if pts.shape[1] != self.params.m:
             raise ValidationError(f"points have dimension {pts.shape[1]}, expected m={self.params.m}")
         pts.setflags(write=False)
@@ -84,6 +73,11 @@ class PhaseSpace:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def source_len(self) -> int:
+        """Length N of the originating series, P + (m-1)*tau."""
+        return len(self) + (self.params.m - 1) * self.params.tau
 
     @property
     def time_index(self) -> np.ndarray:
@@ -102,10 +96,9 @@ class PhaseSpace:
         source of length P + m - 1, so all container invariants hold.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2:
             raise ValidationError(f"points must be a non-empty 2-D array, got shape {pts.shape}")
-        m = pts.shape[1]
-        return cls(points=pts, params=EmbeddingParams(m=m, tau=1), source_len=pts.shape[0] + m - 1)
+        return cls(points=pts, params=EmbeddingParams(m=pts.shape[1], tau=1))
 
 
 def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarray:
@@ -274,4 +267,4 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
             f"series of length {x.size} too short for m={m}, tau={tau}"
         )
     pts = _embed_matrix(x, m, tau)
-    return PhaseSpace(points=pts, params=params, source_len=x.size)
+    return PhaseSpace(points=pts, params=params)

@@ -4,7 +4,9 @@ Two failure families are distinguished so that callers (and the CLI exit
 codes) can tell bad input apart from runtime numerical breakdown.
 """
 
-__all__ = ["ValidationError", "NumericalError"]
+from contextlib import contextmanager
+
+__all__ = ["ValidationError", "NumericalError", "channel_errors"]
 
 
 class ValidationError(ValueError):
@@ -15,3 +17,12 @@ class ValidationError(ValueError):
 class NumericalError(RuntimeError):
     """A computation failed numerically: diverging integration, degenerate
     fits, non-finite intermediate state."""
+
+
+@contextmanager
+def channel_errors(ci: int):
+    """Re-raise a package error as the same type, prefixed ``channel {ci}: ``."""
+    try:
+        yield
+    except (ValidationError, NumericalError) as e:
+        raise type(e)(f"channel {ci}: {e}") from e

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chaos import chaos_feature_vector
-from .classify import LabeledFeature, distances, loocv
+from .classify import LabeledFeature, _metric_name, distances, loocv
 from .embedding import EmbeddingParams, estimate_delay
 from .errors import ValidationError
 from .models import (
@@ -169,6 +169,7 @@ def stability_experiment(
     and smallest cross-system distance: a stable descriptor keeps the
     former below the latter.
     """
+    _metric_name(metric)
     lor = sorted(int(n) for n in lorenz_lengths)
     ros = sorted(int(n) for n in rossler_lengths)
     plan = [("lorenz", lor), ("rossler", ros)]

@@ -29,6 +29,17 @@ __all__ = [
 ]
 
 
+def _positive_dt(value, what: str = "dt") -> float:
+    """``value`` as a positive finite float; booleans are not sample periods."""
+    try:
+        dt = float(value)
+    except (TypeError, ValueError, OverflowError):
+        dt = math.nan
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(dt) and dt > 0):
+        raise ValidationError(f"{what} must be a positive finite real, got {value!r}")
+    return dt
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """A uniformly sampled scalar sequence.
@@ -56,17 +67,11 @@ class TimeSeries:
         if not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValidationError(f"non-finite sample at index {bad}")
-        try:
-            dt = float(self.dt)
-        except (TypeError, ValueError):
-            raise ValidationError(f"dt must be a positive real, got {self.dt!r}") from None
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValidationError(f"dt must be a positive finite real, got {dt!r}")
+        object.__setattr__(self, "dt", _positive_dt(self.dt))
         if self.name is not None and not isinstance(self.name, str):
             raise ValidationError(f"name must be a string, got {type(self.name).__name__}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "dt", dt)
 
     @property
     def n(self) -> int:
@@ -263,6 +268,7 @@ def read_meta(csv_path) -> dict | None:
     return meta
 
 
-def sidecar_dt(csv_path):
-    """The sidecar's "dt" entry as stored (``TimeSeries`` validates it), else 1.0."""
-    return (read_meta(csv_path) or {}).get("dt", 1.0)
+def sidecar_dt(csv_path) -> float:
+    """The sidecar's "dt" entry, else 1.0; a bad value names the sidecar."""
+    dt = (read_meta(csv_path) or {}).get("dt", 1.0)
+    return _positive_dt(dt, f"sidecar {meta_path(csv_path)} dt")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError, channel_errors
 from .series import MultiSeries
 
 __all__ = [
@@ -318,10 +318,8 @@ def channel_distributions(
         raise ValidationError(f"need one embedding per channel, got {len(embeds)}")
     out = []
     for ci, (ch, embed) in enumerate(zip(series.channels, embeds)):
-        try:
+        with channel_errors(ci):
             out.append(shape_distribution(delay_embed(ch, embed), config))
-        except (ValidationError, NumericalError) as e:
-            raise type(e)(f"channel {ci}: {e}") from e
     return out
 
 

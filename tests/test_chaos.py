@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaseshape import (
     EmbeddingParams,
@@ -9,6 +12,7 @@ from phaseshape import (
     TimeSeries,
     ValidationError,
     attractor_diameter,
+    chaos,
     chaos_feature_vector,
     correlation_dimension,
     correlation_integral,
@@ -251,6 +255,13 @@ class TestCorrelationDimension:
         with pytest.raises(ValidationError, match="coincide"):
             correlation_dimension(ps)
 
+    @pytest.mark.parametrize("theiler", [-5, 2.7])
+    @pytest.mark.parametrize("radii", [None, [0.5, 1.0, 2.0]])
+    def test_bad_theiler_rejected(self, theiler, radii):
+        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(300, 2)))
+        with pytest.raises(ValidationError, match="theiler must be an integer"):
+            correlation_dimension(ps, radii=radii, theiler=theiler)
+
 
 class TestAttractorDiameter:
     def test_known_cloud(self):
@@ -294,3 +305,71 @@ class TestChaosFeatureVector:
             assert key in d
         assert len(d["integrals"]) == 8
         assert len(d["radii"]) == 8
+
+
+@st.composite
+def _clouds(draw):
+    """Small clouds, rounded so that distances tie, with some duplicate points."""
+    p = draw(st.integers(min_value=2, max_value=30))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pts = np.round(rng.normal(size=(p, m)), draw(st.integers(min_value=0, max_value=2)))
+    n_dup = draw(st.integers(min_value=0, max_value=p // 2))
+    pts[rng.integers(0, p, size=n_dup)] = pts[rng.integers(0, p, size=n_dup)]
+    return pts
+
+
+def _pair_distance(a, b) -> float:
+    # The Euclidean formula summed coordinate by coordinate, as the block
+    # kernel's row sums are; np.linalg.norm(a - b) on one pair is a BLAS dot
+    # that differs from both in the last bit on some pairs when m >= 2.
+    return math.sqrt(sum(c * c for c in a - b))
+
+
+class TestDistanceBlocksOracle:
+    """The pairwise block kernel against literal per-pair loops, with blocks
+    of 7 rows so that these small clouds span several blocks."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _blocks_of_seven(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chaos, "CHUNK", 7)
+            yield
+
+    @given(_clouds(), st.integers(min_value=0, max_value=5))
+    @settings(deadline=None, max_examples=100)
+    def test_nearest_neighbors(self, pts, theiler):
+        expect = []
+        for i in range(len(pts)):
+            best, best_d = None, math.inf
+            for j in range(len(pts)):
+                d = _pair_distance(pts[i], pts[j])
+                if abs(i - j) > theiler and d < best_d:  # strict: smallest index wins ties
+                    best, best_d = j, d
+            expect.append(best)
+        if None in expect:
+            with pytest.raises(ValidationError, match="no admissible neighbor"):
+                chaos._nearest_neighbors(pts, theiler)
+        else:
+            assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
+
+    @given(_clouds())
+    @settings(deadline=None, max_examples=100)
+    def test_attractor_diameter(self, pts):
+        expect = max(_pair_distance(a, b) for a in pts for b in pts)
+        assert attractor_diameter(PhaseSpace.from_points(pts)) == expect
+
+    @given(_clouds(), st.integers(min_value=0, max_value=5))
+    @settings(deadline=None, max_examples=100)
+    def test_pair_fractions(self, pts, theiler):
+        p = len(pts)
+        dists = [_pair_distance(pts[i], pts[j])
+                 for i in range(p) for j in range(i + theiler + 1, p)]
+        # radii on pair distances themselves probe the inclusive boundary
+        radii = np.array(sorted({0.0, 0.25, 1.0, *dists[:5]}))
+        if len(dists) < 2:
+            with pytest.raises(ValidationError, match="admissible pairs"):
+                chaos._pair_fractions(pts, radii, theiler)
+            return
+        expect = [sum(d <= r for d in dists) / len(dists) for r in radii]
+        assert chaos._pair_fractions(pts, radii, theiler).tolist() == expect

@@ -115,13 +115,17 @@ class TestFeatures:
         assert main(["features", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", ['{"dt": "abc"}', '{"dt": null}', "[1, 2]"])
+    @pytest.mark.parametrize(
+        "payload",
+        ['{"dt": "abc"}', '{"dt": null}', "[1, 2]", '{"dt": 0}', '{"dt": -1}', '{"dt": true}'],
+    )
     def test_malformed_sidecar(self, tmp_path, capsys, payload):
         path = _sine_csv(tmp_path / "sine.csv")
         (tmp_path / "sine.meta.json").write_text(payload)
         assert main(["features", str(path), "--tau", "5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert "sine.meta.json" in err
 
     def test_repeat_runs_identical(self, rossler_csv, capsys):
         assert main(["features", str(rossler_csv), "--tau", "8", "--samples", "300"]) == 0
@@ -185,6 +189,14 @@ class TestChaos:
         write_csv(MultiSeries((TimeSeries(np.full(300, 2.0), name="x"),)), path)
         assert main(["chaos", str(path)]) == 2
         assert "channel 0" in capsys.readouterr().err
+
+    def test_failing_channel_named(self, tmp_path, capsys):
+        path = tmp_path / "mixed.csv"
+        x = np.sin(np.arange(400) / 7.0)
+        chans = (TimeSeries(x, name="x"), TimeSeries(np.full(400, 2.0), name="flat"))
+        write_csv(MultiSeries(chans), path)
+        assert main(["chaos", str(path), "--tau", "5"]) == 2
+        assert "error: channel 1: constant series" in capsys.readouterr().err
 
 
 class TestStability:

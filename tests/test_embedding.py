@@ -50,6 +50,7 @@ class TestDelayEmbed:
             for tau in (1, 3, 7):
                 ps = delay_embed(x, EmbeddingParams(m=m, tau=tau))
                 assert len(ps) == 100 - (m - 1) * tau
+                assert ps.source_len == 100
 
     def test_m1_is_column_vector(self):
         x = TimeSeries([1.0, 2.0, 3.0])
@@ -74,10 +75,17 @@ class TestPhaseSpace:
         assert len(ps) == 20
         assert ps.dimension == 3
         assert (ps.time_index == np.arange(20)).all()
+        assert ps.source_len == 22
 
-    def test_point_count_checked(self):
-        with pytest.raises(ValidationError, match="expected 4 points"):
-            PhaseSpace(np.zeros((5, 3)), EmbeddingParams(3, 2), source_len=8)
+    def test_dimension_checked(self):
+        with pytest.raises(ValidationError, match="dimension 2, expected m=3"):
+            PhaseSpace(np.zeros((5, 2)), EmbeddingParams(3, 2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            PhaseSpace(np.zeros((0, 3)), EmbeddingParams(3, 2))
+        with pytest.raises(ValidationError, match="non-empty"):
+            PhaseSpace.from_points(np.zeros((0, 2)))
 
     def test_non_finite_rejected(self):
         pts = np.zeros((4, 2))

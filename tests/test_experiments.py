@@ -20,6 +20,7 @@ from phaseshape import (
     write_csv,
     write_meta,
 )
+from phaseshape import experiments
 
 
 def _sine_instance(iid, label, period, phase=0.0):
@@ -113,6 +114,21 @@ class TestStability:
     def test_bad_metric(self):
         with pytest.raises(ValidationError, match="metric"):
             stability_experiment(lorenz_lengths=[500], rossler_lengths=[], metric="cosine")
+
+    def test_bad_metric_rejected_before_generation(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trajectory generated before the metric was checked")
+
+        monkeypatch.setattr(experiments, "generate_system", no_work)
+        with pytest.raises(ValidationError, match="metric"):
+            stability_experiment(lorenz_lengths=[500], rossler_lengths=[], metric="cosine")
+
+    def test_metric_case_insensitive(self):
+        a = stability_experiment(lorenz_lengths=[500], rossler_lengths=[300], n_samples=300)
+        b = stability_experiment(
+            lorenz_lengths=[500], rossler_lengths=[300], n_samples=300, metric="CHI2"
+        )
+        assert (a.artifacts["distance_matrix"] == b.artifacts["distance_matrix"]).all()
 
     def test_gen_seed_moves_trajectories(self):
         a = stability_experiment(lorenz_lengths=[500], rossler_lengths=[], n_samples=500, gen_seed=1)

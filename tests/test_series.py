@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -223,8 +225,17 @@ class TestMetaSidecar:
         assert sidecar_dt(csv) == 1.0
         write_meta(csv, {"system": "lorenz"})
         assert sidecar_dt(csv) == 1.0
-        write_meta(csv, {"dt": "abc"})
-        assert sidecar_dt(csv) == "abc"
+        write_meta(csv, {"dt": 0.5})
+        assert sidecar_dt(csv) == 0.5
+
+    @pytest.mark.parametrize(
+        "dt", ["abc", None, 0, -1, True, float("inf"), pytest.param(10**400, id="1e400")]
+    )
+    def test_bad_sidecar_dt_names_sidecar(self, tmp_path, dt):
+        csv = tmp_path / "run.csv"
+        meta_path(csv).write_text(json.dumps({"dt": dt}))
+        with pytest.raises(ValidationError, match="run.meta.json dt must be a positive"):
+            sidecar_dt(csv)
 
     def test_corrupt_sidecar(self, tmp_path):
         csv = tmp_path / "run.csv"
