@@ -4,6 +4,13 @@ Largest Lyapunov exponent by the divergence-of-nearest-neighbors method,
 the correlation integral and correlation dimension, and a fixed 10-number
 feature vector [lambda1, corr_dim, C(r1..r8)] used as the comparison
 baseline for shape-distribution features.
+
+Every distance these statistics compare is computed by one formula,
+``_pair_distances``. A KD-tree finds the nearest-neighbor candidates and
+counts the pairs within each radius; a tree result that lies within
+TREE_MARGIN of a decision is settled with that formula instead, so the
+results equal those of the dense pairwise blocks bit for bit. The
+attractor diameter is a dense pass over ``_distance_blocks``.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
 from .errors import NumericalError, ValidationError
@@ -31,8 +39,14 @@ __all__ = [
     "LOW_R2_THRESHOLD",
 ]
 
-# Pairwise work is done in row blocks of this size to bound memory.
+# Pairwise work is done in row blocks of this size to bound memory: the
+# dense distance blocks, and the rows per nearest-neighbor tree query.
 CHUNK = 1000
+
+# Relative margin within which a tree distance is not trusted to decide a
+# comparison: those neighbors and radii are re-measured with the block
+# arithmetic. Tree and block distances differ by a few ulps, far below it.
+TREE_MARGIN = 1e-9
 
 # Distances are floored here before the log to survive exact duplicates.
 DIST_FLOOR = 1e-12
@@ -119,26 +133,53 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
     return LLEConfig(theiler=theiler, k_max=k_max)
 
 
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between matching (broadcast) rows of a and b:
+    coordinate differences squared, summed in coordinate order, then the
+    root. Every distance the statistics compare is computed here."""
+    return np.linalg.norm(a - b, axis=-1)
+
+
 def _distance_blocks(pts: np.ndarray):
     """Yield (row indices, distances from those rows to every point), CHUNK
-    rows at a time: the one pairwise kernel behind NN, diameter and C(r)."""
+    rows at a time: the dense pass behind the diameter, and behind C(r) at
+    radii the tree cannot settle."""
     for s in range(0, len(pts), CHUNK):
         rows = np.arange(s, min(s + CHUNK, len(pts)))
-        yield rows, np.linalg.norm(pts[s : s + CHUNK, None, :] - pts[None, :, :], axis=2)
+        yield rows, _pair_distances(pts[s : s + CHUNK, None, :], pts[None, :, :])
 
 
 def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
-    """Index of each point's nearest neighbor outside the theiler window."""
+    """Index of each point's nearest neighbor outside the theiler window,
+    ties to the smallest index.
+
+    A row's k tree neighbors start at 2 * theiler + 2, which always holds an
+    admissible one (at most 2 * theiler + 1 points lie in the window), and
+    k doubles until the k-th tree distance lies beyond TREE_MARGIN of the
+    nearest admissible one. The admissible candidates within that margin
+    are re-measured with _pair_distances, which picks the neighbor.
+    """
     p = len(pts)
     # The middle point is the last with a neighbor beyond the window.
     if p <= 2 * theiler + 1:
         raise ValidationError(
             f"theiler window {theiler} leaves some point with no admissible neighbor"
         )
+    tree = cKDTree(pts)
     nn = np.empty(p, dtype=int)
-    for rows, d in _distance_blocks(pts):
-        d[np.abs(rows[:, None] - np.arange(p)) <= theiler] = np.inf
-        nn[rows] = np.argmin(d, axis=1)
+    for s in range(0, p, CHUNK):
+        rows, k = np.arange(s, min(s + CHUNK, p)), 2 * theiler + 2
+        while len(rows):
+            dist, idx = tree.query(pts[rows], k=k)
+            ok = np.abs(idx - rows[:, None]) > theiler
+            cutoff = np.where(ok, dist, np.inf).min(axis=1, keepdims=True) * (1 + TREE_MARGIN)
+            at = np.nonzero(ok & (dist <= cutoff))
+            d = np.full(dist.shape, np.inf)
+            d[at] = _pair_distances(pts[rows[at[0]]], pts[idx[at]])
+            best = np.where(d == d.min(axis=1, keepdims=True), idx, p).min(axis=1)
+            done = (dist[:, -1] > cutoff[:, 0]) | (k == p)
+            nn[rows[done]] = best[done]
+            rows, k = rows[~done], min(2 * k, p)
     return nn
 
 
@@ -162,7 +203,7 @@ def divergence_curve(ps: PhaseSpace, config: LLEConfig) -> np.ndarray:
         alive = (i + k < p) & (nn + k < p)
         if not alive.any():
             break
-        d = np.linalg.norm(pts[i[alive] + k] - pts[nn[alive] + k], axis=1)
+        d = _pair_distances(pts[i[alive] + k], pts[nn[alive] + k])
         curve.append(np.log(np.maximum(d, DIST_FLOOR)).mean())
     return np.array(curve)
 
@@ -244,33 +285,60 @@ def attractor_diameter(ps: PhaseSpace) -> float:
     return max(float(d.max()) for _, d in _distance_blocks(ps.points))
 
 
-def _default_radii(ps: PhaseSpace) -> np.ndarray:
-    """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter."""
+def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
+    """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter,
+    and the diameter."""
     dia = attractor_diameter(ps)
     if dia <= 0:
         raise ValidationError("all points coincide; correlation dimension undefined")
-    return np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
+    return np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII), dia
 
 
-def _pair_fractions(pts: np.ndarray, radii, theiler) -> np.ndarray:
-    """Fraction of pairs with j - i > theiler and distance <= r, per radius;
-    the one place every C(r) entry point validates theiler and the radii."""
+def _admissible_pairs(p: int, theiler) -> int:
+    """Number of pairs (i, j) with j - i > theiler among p points; the one
+    theiler check of every C(r) entry point."""
     if not (isinstance(theiler, (int, np.integer)) and theiler >= 0):
         raise ValidationError(f"theiler must be an integer >= 0, got {theiler!r}")
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
-        raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
-    p = len(pts)
-    counts = np.zeros(len(radii))
-    total = 0
-    for rows, d in _distance_blocks(pts):
-        dm = d[np.arange(p) - rows[:, None] > theiler]
-        total += dm.size
-        counts += [(dm <= r).sum() for r in radii]
+    total = max(p - int(theiler) - 1, 0) * (p - int(theiler)) // 2
     if total < 2:
         raise ValidationError(
             f"theiler window {theiler} leaves {total} admissible pairs; need at least 2"
         )
+    return total
+
+
+def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -> np.ndarray:
+    """Fraction of pairs with j - i > theiler and distance <= r, per radius.
+
+    A radius at least the diameter (the largest _pair_distances value, when
+    the caller has it) holds every pair. Below it, one tree count at
+    r * (1 -/+ TREE_MARGIN) gives the pairs within r when both counts agree,
+    less the pairs 0 < j - i <= theiler counted by _pair_distances; the
+    radii where they differ are counted by one dense pass.
+    """
+    total = _admissible_pairs(len(pts), theiler)
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
+        raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
+    p = len(pts)
+    counts = np.full(len(radii), total)
+    todo = np.nonzero(radii < diameter)[0]
+    r = radii[todo]
+    tree = cKDTree(pts)
+    lo, hi = tree.count_neighbors(
+        tree, np.concatenate([r * (1 - TREE_MARGIN), r * (1 + TREE_MARGIN)])
+    ).reshape(2, -1)
+    # count_neighbors counts ordered pairs, each point with itself included
+    counts[todo] = (lo - p) // 2
+    for lag in range(1, theiler + 1):
+        d = _pair_distances(pts[lag:], pts[:-lag])
+        counts[todo] -= (d[:, None] <= r).sum(axis=0)
+    shell = todo[lo != hi]
+    if len(shell):
+        counts[shell] = 0
+        for rows, d in _distance_blocks(pts):
+            dm = d[np.arange(p) - rows[:, None] > theiler]
+            counts[shell] += [(dm <= x).sum() for x in radii[shell]]
     return counts / total
 
 
@@ -305,10 +373,15 @@ def correlation_dimension(
     diameter. Radii where C(r) is 0 or 1 carry no slope information and are
     dropped; fewer than 3 useful radii raise NumericalError.
     """
-    radii = _default_radii(ps) if radii is None else np.asarray(radii, dtype=float)
+    if radii is None:
+        # theiler is checked before the O(P^2) diameter pass
+        _admissible_pairs(len(ps), theiler)
+        radii, dia = _default_radii(ps)
+    else:
+        radii, dia = np.asarray(radii, dtype=float), np.inf
     if radii.ndim != 1 or len(radii) < 3 or (radii <= 0).any():
         raise ValidationError("need at least 3 positive radii")
-    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler))
+    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler, dia))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,8 +452,8 @@ def chaos_feature_vector(
     if config is None:
         config = default_lle_config(ps)
     res = lle_rosenstein(ps, config, dt=series.dt)
-    radii = _default_radii(ps)
-    integrals = _pair_fractions(ps.points, radii, config.theiler)
+    radii, dia = _default_radii(ps)
+    integrals = _pair_fractions(ps.points, radii, config.theiler, dia)
     return ChaosFeatureVector(
         lambda1=res.lambda1,
         corr_dim=_dimension_from(radii, integrals),

@@ -311,6 +311,7 @@ def classification_experiment(
         raise ValidationError(f"features must be 'shape' or 'chaos', got {features!r}")
     if metric is None:
         metric = "chi2" if features == "shape" else "l2"
+    _metric_name(metric)
     if instances is None:
         instances = synthetic_instances(per_class, root_seed, jobs=jobs)
         source = {"synthetic": True, "per_class": int(per_class)}

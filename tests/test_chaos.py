@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from phaseshape import (
     EmbeddingParams,
@@ -262,6 +263,16 @@ class TestCorrelationDimension:
         with pytest.raises(ValidationError, match="theiler must be an integer"):
             correlation_dimension(ps, radii=radii, theiler=theiler)
 
+    @pytest.mark.parametrize("theiler", [-5, 2.7, 299])
+    def test_theiler_checked_before_diameter(self, monkeypatch, theiler):
+        def no_pass(ps):
+            raise AssertionError("diameter pass ran before the theiler check")
+
+        monkeypatch.setattr(chaos, "attractor_diameter", no_pass)
+        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(300, 2)))
+        with pytest.raises(ValidationError, match="theiler"):
+            correlation_dimension(ps, theiler=theiler)
+
 
 class TestAttractorDiameter:
     def test_known_cloud(self):
@@ -319,6 +330,16 @@ def _clouds(draw):
     return pts
 
 
+@st.composite
+def _tied_clouds(draw):
+    """Clouds on the corners of a unit cube: every point has many exact
+    duplicates, so nearest-neighbor rows must look past 2 * theiler + 2."""
+    p = draw(st.integers(min_value=2, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return rng.integers(0, 2, size=(p, m)).astype(float)
+
+
 def _pair_distance(a, b) -> float:
     # The Euclidean formula summed coordinate by coordinate, as the block
     # kernel's row sums are; np.linalg.norm(a - b) on one pair is a BLAS dot
@@ -326,9 +347,46 @@ def _pair_distance(a, b) -> float:
     return math.sqrt(sum(c * c for c in a - b))
 
 
+def _oracle_neighbors(pts, theiler) -> list:
+    expect = []
+    for i in range(len(pts)):
+        best, best_d = None, math.inf
+        for j in range(len(pts)):
+            d = _pair_distance(pts[i], pts[j])
+            if abs(i - j) > theiler and d < best_d:  # strict: smallest index wins ties
+                best, best_d = j, d
+        expect.append(best)
+    return expect
+
+
+def _oracle_distances(pts, theiler) -> list:
+    p = len(pts)
+    return [_pair_distance(pts[i], pts[j]) for i in range(p) for j in range(i + theiler + 1, p)]
+
+
+def _check_neighbors(pts, theiler):
+    expect = _oracle_neighbors(pts, theiler)
+    if None in expect:
+        with pytest.raises(ValidationError, match="no admissible neighbor"):
+            chaos._nearest_neighbors(pts, theiler)
+    else:
+        assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
+
+
+def _check_fractions(pts, radii, theiler, diameter=np.inf):
+    dists = _oracle_distances(pts, theiler)
+    if len(dists) < 2:
+        with pytest.raises(ValidationError, match="admissible pairs"):
+            chaos._pair_fractions(pts, radii, theiler, diameter)
+        return
+    expect = [sum(d <= r for d in dists) / len(dists) for r in radii]
+    assert chaos._pair_fractions(pts, radii, theiler, diameter).tolist() == expect
+
+
 class TestDistanceBlocksOracle:
-    """The pairwise block kernel against literal per-pair loops, with blocks
-    of 7 rows so that these small clouds span several blocks."""
+    """The chaos kernels, tree and dense, against literal per-pair loops,
+    with blocks of 7 rows (dense blocks and tree queries) so that these
+    small clouds span several blocks."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _blocks_of_seven(self):
@@ -336,22 +394,25 @@ class TestDistanceBlocksOracle:
             mp.setattr(chaos, "CHUNK", 7)
             yield
 
-    @given(_clouds(), st.integers(min_value=0, max_value=5))
+    @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
     def test_nearest_neighbors(self, pts, theiler):
-        expect = []
-        for i in range(len(pts)):
-            best, best_d = None, math.inf
-            for j in range(len(pts)):
-                d = _pair_distance(pts[i], pts[j])
-                if abs(i - j) > theiler and d < best_d:  # strict: smallest index wins ties
-                    best, best_d = j, d
-            expect.append(best)
-        if None in expect:
-            with pytest.raises(ValidationError, match="no admissible neighbor"):
-                chaos._nearest_neighbors(pts, theiler)
-        else:
-            assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
+        _check_neighbors(pts, theiler)
+
+    def test_nearest_neighbors_grow_k(self, monkeypatch):
+        # Two alternating points: each row has 20 neighbors at distance 0,
+        # far more than the 2 * 2 + 2 it queries first.
+        ks = []
+
+        class Recording(cKDTree):
+            def query(self, x, k):
+                ks.append(k)
+                return super().query(x, k=k)
+
+        monkeypatch.setattr(chaos, "cKDTree", Recording)
+        pts = np.tile([[0.0], [1.0]], (20, 1))
+        _check_neighbors(pts, 2)
+        assert ks[0] == 6 and max(ks) > 20
 
     @given(_clouds())
     @settings(deadline=None, max_examples=100)
@@ -359,17 +420,29 @@ class TestDistanceBlocksOracle:
         expect = max(_pair_distance(a, b) for a in pts for b in pts)
         assert attractor_diameter(PhaseSpace.from_points(pts)) == expect
 
-    @given(_clouds(), st.integers(min_value=0, max_value=5))
+    @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
     def test_pair_fractions(self, pts, theiler):
-        p = len(pts)
-        dists = [_pair_distance(pts[i], pts[j])
-                 for i in range(p) for j in range(i + theiler + 1, p)]
         # radii on pair distances themselves probe the inclusive boundary
-        radii = np.array(sorted({0.0, 0.25, 1.0, *dists[:5]}))
-        if len(dists) < 2:
-            with pytest.raises(ValidationError, match="admissible pairs"):
-                chaos._pair_fractions(pts, radii, theiler)
-            return
-        expect = [sum(d <= r for d in dists) / len(dists) for r in radii]
-        assert chaos._pair_fractions(pts, radii, theiler).tolist() == expect
+        radii = np.array(sorted({0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)[:5]}))
+        _check_fractions(pts, radii, theiler)
+
+    @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
+    @settings(deadline=None, max_examples=100)
+    def test_pair_fractions_given_diameter(self, pts, theiler):
+        dia = max(_pair_distance(a, b) for a in pts for b in pts)
+        radii = np.array([0.0, 0.5 * dia, np.nextafter(dia, 0.0), dia, 2.0 * dia])
+        _check_fractions(pts, radii, theiler, dia)
+
+    def test_lorenz_cloud_settled_by_tree(self, lorenz_default, monkeypatch):
+        # On a continuous cloud no tree distance lands within TREE_MARGIN of
+        # a default radius, so C(r) never falls back to the dense blocks.
+        ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
+        theiler = default_lle_config(ps).theiler
+        radii, dia = chaos._default_radii(ps)
+        dense = chaos._distance_blocks
+        calls = []
+        monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
+        _check_neighbors(ps.points, theiler)
+        _check_fractions(ps.points, radii, theiler, dia)
+        assert calls == []

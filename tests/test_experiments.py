@@ -277,6 +277,20 @@ class TestClassification:
         with pytest.raises(ValidationError, match="features"):
             classification_experiment(per_class=1, features="spectral")
 
+    @pytest.mark.parametrize("features", ["shape", "chaos"])
+    def test_bad_metric_rejected_before_featurizing(self, monkeypatch, features):
+        def no_work(*args, **kwargs):
+            raise AssertionError("instance featurized before the metric was checked")
+
+        monkeypatch.setattr(experiments, "feature_vector", no_work)
+        monkeypatch.setattr(experiments, "chaos_feature_vector", no_work)
+        monkeypatch.setattr(experiments, "generate_system", no_work)
+        insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
+        with pytest.raises(ValidationError, match="metric"):
+            classification_experiment(instances=insts, features=features, metric="cosine")
+        with pytest.raises(ValidationError, match="metric"):
+            classification_experiment(per_class=1, features=features, metric="cosine")
+
     def test_too_few_instances(self):
         insts = [_sine_instance("slow-0", "slow", 40)]
         with pytest.raises(ValidationError, match="at least 2"):

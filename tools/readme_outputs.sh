@@ -1,0 +1,38 @@
+#!/usr/bin/env bash
+# Run the README command set into OUTDIR: every file, stdout, stderr and
+# exit code the commands produce. Two runs on checkouts that should agree
+# compare with one `diff -r`.
+#
+#   tools/readme_outputs.sh OUTDIR
+#
+# The commands run inside OUTDIR with relative paths, against the src/ of
+# the checkout this script sits in.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 1
+fi
+src="$(cd "$(dirname "$0")/.." && pwd)/src"
+mkdir -p "$1"
+cd "$1"
+
+# run NAME ARGS...: phaseshape ARGS with stdout, stderr and exit code in NAME.*
+run() {
+    local name=$1
+    shift
+    local rc=0
+    PYTHONPATH="$src" python3 -m phaseshape.cli "$@" >"$name.out" 2>"$name.err" || rc=$?
+    echo "$rc" >"$name.rc"
+}
+
+run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
+run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
+run features-d2 features lorenz.csv --kind D2 --tau 11
+run features-auto features lorenz.csv --tau auto --out features.json
+run chaos-tau11 chaos lorenz.csv --tau 11
+run chaos-auto chaos rossler.csv
+run stability stability --lorenz-lengths 1000,3000,5000 --rossler-lengths 400,1200,2000
+run stability-dir stability --out-dir stability
+run classify-shape classify --synthetic lorenz-rossler --per-class 10 --jobs 2 --out classify_shape.json
+run classify-chaos classify --synthetic lorenz-rossler --per-class 10 --features chaos --jobs 2 --out classify_chaos.json
