@@ -27,8 +27,8 @@ from .models import (
     LORENZ_IC_LOW,
     ROSSLER_IC_HIGH,
     ROSSLER_IC_LOW,
-    lorenz_generate,
-    rossler_generate,
+    _lorenz_batch,
+    _rossler_batch,
 )
 from .series import MultiSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
@@ -59,7 +59,8 @@ LORENZ_LENGTHS = (1000, 2000, 3000, 4000, 5000)
 ROSSLER_LENGTHS = (400, 800, 1200, 1600, 2000)
 LENGTH_RANGES = {"lorenz": (1000, 5000), "rossler": (400, 2000)}
 
-_GENERATORS = {"lorenz": lorenz_generate, "rossler": rossler_generate}
+# Each maps a list of GenConfigs to their trajectories, integrated as one batch.
+_GENERATORS = {"lorenz": _lorenz_batch, "rossler": _rossler_batch}
 _IC_BOXES = {
     "lorenz": (LORENZ_IC_LOW, LORENZ_IC_HIGH),
     "rossler": (ROSSLER_IC_LOW, ROSSLER_IC_HIGH),
@@ -110,11 +111,15 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _check_jobs(jobs) -> None:
+    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
+
+
 def _map(fn, tasks, jobs: int):
     """Order-preserving map, threaded when jobs > 1."""
     tasks = list(tasks)
-    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
-        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
+    _check_jobs(jobs)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
@@ -130,7 +135,7 @@ def generate_system(system: str, config: GenConfig) -> MultiSeries:
     """Dispatch to the named bundled generator ("lorenz" or "rossler")."""
     if system not in _GENERATORS:
         raise ValidationError(f"system must be one of {SYSTEMS}, got {system!r}")
-    return _GENERATORS[system](config)
+    return _GENERATORS[system]([config])[0]
 
 
 @dataclass(frozen=True)
@@ -250,24 +255,27 @@ def synthetic_instances(
     Instance (system, k) draws from its own generator seeded by
     [root_seed, class index, k]: first the initial condition uniformly
     from the system's ic box, then the kept length uniformly from the
-    system's length range. Independent of execution order.
+    system's length range. Independent of execution order. Each class's
+    trajectories integrate as one batch, whose rows equal the one-at-a-time
+    trajectories bit for bit, so ``jobs`` is only checked.
     """
     if not (isinstance(per_class, (int, np.integer)) and per_class >= 1):
         raise ValidationError(f"per_class must be an integer >= 1, got {per_class!r}")
+    _check_jobs(jobs)
 
-    def one(task):
-        class_idx, k = task
-        system = SYSTEMS[class_idx]
-        rng = np.random.default_rng(np.random.SeedSequence([int(root_seed), class_idx, k]))
+    instances = []
+    for class_idx, system in enumerate(SYSTEMS):
         low, high = _IC_BOXES[system]
-        ic = rng.uniform(low, high)
         lo, hi = LENGTH_RANGES[system]
-        n = int(rng.integers(lo, hi + 1))
-        series = generate_system(system, GenConfig(n=n, ic=tuple(float(v) for v in ic)))
-        return Instance(id=f"{system}-{k:03d}", series=series)
-
-    tasks = [(ci, k) for ci in range(len(SYSTEMS)) for k in range(int(per_class))]
-    return _map(one, tasks, jobs)
+        configs = []
+        for k in range(int(per_class)):
+            rng = np.random.default_rng(np.random.SeedSequence([int(root_seed), class_idx, k]))
+            ic = rng.uniform(low, high)
+            n = int(rng.integers(lo, hi + 1))
+            configs.append(GenConfig(n=n, ic=tuple(float(v) for v in ic)))
+        batch = _GENERATORS[system](configs)
+        instances += [Instance(id=f"{system}-{k:03d}", series=s) for k, s in enumerate(batch)]
+    return instances
 
 
 def _resolve_delay(series: MultiSeries, delays) -> int:

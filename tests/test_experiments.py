@@ -165,6 +165,26 @@ class TestSyntheticInstances:
         for got, want in zip(inst.series.channels, expected.channels):
             assert (got.samples == want.samples).all()
 
+    @pytest.mark.parametrize("root_seed", [2024, 7])
+    def test_batch_equals_one_at_a_time(self, root_seed):
+        for inst in synthetic_instances(per_class=3, root_seed=root_seed):
+            system, k = inst.id.split("-")
+            rng = np.random.default_rng(
+                np.random.SeedSequence([root_seed, experiments.SYSTEMS.index(system), int(k)])
+            )
+            ic = rng.uniform(*experiments._IC_BOXES[system])
+            lo, hi = experiments.LENGTH_RANGES[system]
+            n = int(rng.integers(lo, hi + 1))
+            want = generate_system(system, GenConfig(n=n, ic=tuple(ic)))
+            assert inst.series.n == n and inst.label == system
+            for got, exp in zip(inst.series.channels, want.channels):
+                assert (got.samples == exp.samples).all()
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5])
+    def test_jobs_validation(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            synthetic_instances(per_class=1, jobs=jobs)
+
     def test_parallel_matches_sequential(self):
         seq = synthetic_instances(per_class=2)
         par = synthetic_instances(per_class=2, jobs=4)

@@ -11,6 +11,7 @@ from phaseshape import (
     rk4_integrate,
     rossler_generate,
 )
+from phaseshape import models
 from phaseshape.models import (
     LORENZ_DT,
     LORENZ_IC_HIGH,
@@ -84,8 +85,79 @@ class TestRk4:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_step(self):
         # y' = y^2 from y0=1 blows up just past t=1
-        with pytest.raises(NumericalError, match="step"):
+        with pytest.raises(NumericalError, match=r"^non-finite state at integration step 13$"):
             rk4_integrate(lambda y: y * y, [1.0], 0.1, 50)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("y0", [
+        [[0.1], [1.0]],
+        # rows 1 and 2 go non-finite at the same step, each in one component
+        [[0.1, 0.1], [0.1, 1.0], [1.0, 0.1]],
+    ])
+    def test_batch_divergence_names_row(self, y0):
+        # A component from 0.1 blows up only near t=10; from 1.0, past t=1
+        msg = r"^non-finite state at integration step 13 \(row 1\)$"
+        with pytest.raises(NumericalError, match=msg):
+            rk4_integrate(lambda y: y * y, y0, 0.1, 50)
+
+    def test_state_shapes(self):
+        assert rk4_integrate(lambda y: -y, [[1.0, 2.0]] * 3, 0.1, 5).shape == (6, 3, 2)
+        assert rk4_integrate(lambda y: -y, 1.0, 0.1, 5).shape == (6, 1)
+        with pytest.raises(ValidationError, match="y0"):
+            rk4_integrate(lambda y: -y, np.ones((2, 2, 1)), 0.1, 5)
+
+
+def _bundled_deriv(generate):
+    """The derivative a bundled generator hands to rk4_integrate."""
+    seen = []
+
+    def record(deriv, y0, dt, n_steps):
+        seen.append(deriv)
+        return rk4_integrate(deriv, y0, dt, n_steps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "rk4_integrate", record)
+        generate(GenConfig(n=2, transient=0))
+    return seen[0]
+
+
+# system -> (single generator, batch generator, ic box, dt)
+BUNDLED = {
+    "lorenz": (lorenz_generate, models._lorenz_batch, (LORENZ_IC_LOW, LORENZ_IC_HIGH), LORENZ_DT),
+    "rossler": (
+        rossler_generate, models._rossler_batch, (ROSSLER_IC_LOW, ROSSLER_IC_HIGH), ROSSLER_DT
+    ),
+}
+
+
+class TestBatch:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("system", BUNDLED)
+    def test_rows_equal_single_integrations(self, system, k):
+        generate, _, box, dt = BUNDLED[system]
+        deriv = _bundled_deriv(generate)
+        ics = np.random.default_rng(k).uniform(*box, (k, 3))
+        batch = rk4_integrate(deriv, ics, dt, 2000)
+        assert batch.shape == (2001, k, 3)
+        for row, ic in enumerate(ics):
+            assert np.array_equal(batch[:, row], rk4_integrate(deriv, ic, dt, 2000))
+
+    @pytest.mark.parametrize("system", BUNDLED)
+    def test_batch_generation_equals_single(self, system):
+        generate, batch, _, _ = BUNDLED[system]
+        configs = [
+            GenConfig(n=300, seed=1),
+            GenConfig(n=120, transient=50, ic=(2.0, -1.0, 4.0)),
+            GenConfig(n=2, transient=0),
+        ]
+        for got, config in zip(batch(configs), configs):
+            want = generate(config)
+            assert (got.n, got.dt, got.label) == (want.n, want.dt, want.label)
+            assert np.array_equal(got.to_array(), want.to_array())
+
+    def test_batch_needs_one_dt(self):
+        with pytest.raises(ValidationError, match="one dt"):
+            models._lorenz_batch([GenConfig(n=10), GenConfig(n=10, dt=0.02)])
 
 
 class TestLorenz:
