@@ -6,11 +6,14 @@ feature vector [lambda1, corr_dim, C(r1..r8)] used as the comparison
 baseline for shape-distribution features.
 
 Every distance these statistics compare is computed by one formula,
-``_pair_distances``. A KD-tree finds the nearest-neighbor candidates and
-counts the pairs within each radius; a tree result that lies within
-TREE_MARGIN of a decision is settled with that formula instead, so the
-results equal those of the dense pairwise blocks bit for bit. The
-attractor diameter is a dense pass over ``_distance_blocks``.
+``_pair_distances``, on coordinate-major (m, ...) arrays: the squared
+coordinate differences summed in coordinate order, then the root. A
+KD-tree finds the nearest-neighbor candidates and counts the pairs within
+each radius; a tree result that lies within TREE_MARGIN of a decision is
+settled with that formula instead, so the results equal those of the dense
+pairwise blocks bit for bit. The attractor diameter is a dense pass over
+``_distance_blocks``, which covers the upper triangle of the distance
+matrix in CHUNK-row blocks, one block alive at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ N_RADII = 8
 RADII_SPAN = (0.05, 1.0)
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; booleans are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LLEConfig:
     """Divergence-tracking settings.
@@ -76,20 +84,22 @@ class LLEConfig:
     fit_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.theiler, (int, np.integer)) and self.theiler >= 0):
+        if not (_is_int(self.theiler) and self.theiler >= 0):
             raise ValidationError(f"theiler must be an integer >= 0, got {self.theiler!r}")
-        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 3):
+        if not (_is_int(self.k_max) and self.k_max >= 3):
             raise ValidationError(f"k_max must be an integer >= 3, got {self.k_max!r}")
         object.__setattr__(self, "theiler", int(self.theiler))
         object.__setattr__(self, "k_max", int(self.k_max))
         if self.fit_range is not None:
-            lo, hi = self.fit_range
-            lo, hi = int(lo), int(hi)
-            if not (0 <= lo and lo + 1 < hi + 1 and hi < self.k_max and hi - lo >= 1):
+            try:
+                lo, hi = self.fit_range
+            except (TypeError, ValueError):
+                lo = hi = None
+            if not (_is_int(lo) and _is_int(hi) and 0 <= lo < hi < self.k_max):
                 raise ValidationError(
-                    f"fit_range must satisfy 0 <= lo < hi < k_max, got {self.fit_range!r}"
+                    f"fit_range must be integers 0 <= lo < hi < k_max, got {self.fit_range!r}"
                 )
-            object.__setattr__(self, "fit_range", (lo, hi))
+            object.__setattr__(self, "fit_range", (int(lo), int(hi)))
 
 
 def _mean_period(x) -> float | None:
@@ -134,19 +144,28 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
 
 
 def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between matching (broadcast) rows of a and b:
-    coordinate differences squared, summed in coordinate order, then the
-    root. Every distance the statistics compare is computed here."""
-    return np.linalg.norm(a - b, axis=-1)
+    """Euclidean distances between coordinate-major a and b, each of shape
+    (m, ...) and broadcast over the trailing axes: the coordinate
+    differences squared, summed in coordinate order, then the root. Every
+    distance the statistics compare is computed here."""
+    d = a - b
+    d *= d
+    s = d[0]
+    for c in d[1:]:
+        s += c
+    return np.sqrt(s, out=s)
 
 
 def _distance_blocks(pts: np.ndarray):
-    """Yield (row indices, distances from those rows to every point), CHUNK
-    rows at a time: the dense pass behind the diameter, and behind C(r) at
-    radii the tree cannot settle."""
+    """Yield (s, block) for s = 0, CHUNK, 2 * CHUNK, ...: the distances from
+    rows s:s + CHUNK to the points s:P, as one (rows, P - s) array. The
+    blocks cover the upper triangle, diagonal included, which holds every
+    pair once. This is the dense pass behind the diameter, and behind C(r)
+    at radii the tree cannot settle; a consumer drops each block before it
+    asks for the next, so one block is alive at a time."""
+    x = np.ascontiguousarray(pts.T)
     for s in range(0, len(pts), CHUNK):
-        rows = np.arange(s, min(s + CHUNK, len(pts)))
-        yield rows, _pair_distances(pts[s : s + CHUNK, None, :], pts[None, :, :])
+        yield s, _pair_distances(x[:, s : s + CHUNK, None], x[:, None, s:])
 
 
 def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
@@ -175,7 +194,7 @@ def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
             cutoff = np.where(ok, dist, np.inf).min(axis=1, keepdims=True) * (1 + TREE_MARGIN)
             at = np.nonzero(ok & (dist <= cutoff))
             d = np.full(dist.shape, np.inf)
-            d[at] = _pair_distances(pts[rows[at[0]]], pts[idx[at]])
+            d[at] = _pair_distances(pts.T[:, rows[at[0]]], pts.T[:, idx[at]])
             best = np.where(d == d.min(axis=1, keepdims=True), idx, p).min(axis=1)
             done = (dist[:, -1] > cutoff[:, 0]) | (k == p)
             nn[rows[done]] = best[done]
@@ -203,7 +222,7 @@ def divergence_curve(ps: PhaseSpace, config: LLEConfig) -> np.ndarray:
         alive = (i + k < p) & (nn + k < p)
         if not alive.any():
             break
-        d = _pair_distances(pts[i[alive] + k], pts[nn[alive] + k])
+        d = _pair_distances(pts.T[:, i[alive] + k], pts.T[:, nn[alive] + k])
         curve.append(np.log(np.maximum(d, DIST_FLOOR)).mean())
     return np.array(curve)
 
@@ -282,7 +301,11 @@ def lle_rosenstein(
 
 def attractor_diameter(ps: PhaseSpace) -> float:
     """Largest pairwise distance between reconstructed points."""
-    return max(float(d.max()) for _, d in _distance_blocks(ps.points))
+    dia = 0.0
+    for _, d in _distance_blocks(ps.points):
+        dia = max(dia, float(d.max()))
+        del d
+    return dia
 
 
 def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
@@ -297,7 +320,7 @@ def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
 def _admissible_pairs(p: int, theiler) -> int:
     """Number of pairs (i, j) with j - i > theiler among p points; the one
     theiler check of every C(r) entry point."""
-    if not (isinstance(theiler, (int, np.integer)) and theiler >= 0):
+    if not (_is_int(theiler) and theiler >= 0):
         raise ValidationError(f"theiler must be an integer >= 0, got {theiler!r}")
     total = max(p - int(theiler) - 1, 0) * (p - int(theiler)) // 2
     if total < 2:
@@ -331,14 +354,18 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     # count_neighbors counts ordered pairs, each point with itself included
     counts[todo] = (lo - p) // 2
     for lag in range(1, theiler + 1):
-        d = _pair_distances(pts[lag:], pts[:-lag])
+        d = _pair_distances(pts.T[:, lag:], pts.T[:, :-lag])
         counts[todo] -= (d[:, None] <= r).sum(axis=0)
     shell = todo[lo != hi]
     if len(shell):
         counts[shell] = 0
-        for rows, d in _distance_blocks(pts):
-            dm = d[np.arange(p) - rows[:, None] > theiler]
+        for _, d in _distance_blocks(pts):
+            # row i = s + r and column j = s + c, so j - i = c - r
+            rows, cols = np.ogrid[: d.shape[0], : d.shape[1]]
+            dm = d[cols - rows > theiler]
+            del d
             counts[shell] += [(dm <= x).sum() for x in radii[shell]]
+            del dm
     return counts / total
 
 

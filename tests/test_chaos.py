@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from phaseshape import (
@@ -44,6 +44,20 @@ class TestLLEConfig:
     def test_fit_range_accepted(self):
         c = LLEConfig(theiler=2, k_max=10, fit_range=(0, 9))
         assert c.fit_range == (0, 9)
+        assert LLEConfig(theiler=2, k_max=10, fit_range=np.array([1, 4])).fit_range == (1, 4)
+
+    @pytest.mark.parametrize(
+        "fit_range", [(1.7, 5.9), (1.0, 5.0), (0, 4, 8), (math.nan, 5), (0, math.nan), 5, (True, 5)]
+    )
+    def test_malformed_fit_range_rejected(self, fit_range):
+        with pytest.raises(ValidationError, match="fit_range"):
+            LLEConfig(theiler=0, k_max=10, fit_range=fit_range)
+
+    @pytest.mark.parametrize("field", ["theiler", "k_max"])
+    def test_boolean_counts_rejected(self, field):
+        kwargs = {"theiler": 1, "k_max": 10, field: True}
+        with pytest.raises(ValidationError, match=field):
+            LLEConfig(**kwargs)
 
 
 class TestDefaultConfig:
@@ -256,7 +270,7 @@ class TestCorrelationDimension:
         with pytest.raises(ValidationError, match="coincide"):
             correlation_dimension(ps)
 
-    @pytest.mark.parametrize("theiler", [-5, 2.7])
+    @pytest.mark.parametrize("theiler", [-5, 2.7, True])
     @pytest.mark.parametrize("radii", [None, [0.5, 1.0, 2.0]])
     def test_bad_theiler_rejected(self, theiler, radii):
         ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(300, 2)))
@@ -319,10 +333,12 @@ class TestChaosFeatureVector:
 
 
 @st.composite
-def _clouds(draw):
-    """Small clouds, rounded so that distances tie, with some duplicate points."""
+def _clouds(draw, min_m=1):
+    """Small clouds, rounded so that distances tie, with some duplicate points.
+    Dimensions reach 10: from m = 8 numpy's own sums are pairwise, not in
+    coordinate order."""
     p = draw(st.integers(min_value=2, max_value=30))
-    m = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=min_m, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pts = np.round(rng.normal(size=(p, m)), draw(st.integers(min_value=0, max_value=2)))
     n_dup = draw(st.integers(min_value=0, max_value=p // 2))
@@ -416,9 +432,31 @@ class TestDistanceBlocksOracle:
 
     @given(_clouds())
     @settings(deadline=None, max_examples=100)
+    def test_distance_blocks_cover_upper_triangle(self, pts):
+        p, seen = len(pts), set()
+        for s, d in chaos._distance_blocks(pts):
+            # rows s:s + CHUNK against columns s:P, no column before row s
+            assert d.shape == (min(chaos.CHUNK, p - s), p - s)
+            for r, c in np.ndindex(d.shape):
+                assert d[r, c] == _pair_distance(pts[s + r], pts[s + c])
+                seen.add((s + r, s + c))
+        assert {(i, j) for i in range(p) for j in range(i + 1, p)} <= seen
+
+    @given(_clouds())
+    @settings(deadline=None, max_examples=100)
     def test_attractor_diameter(self, pts):
         expect = max(_pair_distance(a, b) for a in pts for b in pts)
         assert attractor_diameter(PhaseSpace.from_points(pts)) == expect
+
+    @given(_clouds(min_m=8))
+    @settings(deadline=None, max_examples=50)
+    def test_pair_fractions_one_at_diameter(self, pts):
+        # The radii ladder ends at the diameter, where C(r) must be exactly 1
+        # whether the caller passes the diameter or the dense pass counts it.
+        assume(len(pts) >= 3)
+        dia = attractor_diameter(PhaseSpace.from_points(pts))
+        assert chaos._pair_fractions(pts, [dia], 0, dia).tolist() == [1.0]
+        assert chaos._pair_fractions(pts, [dia], 0).tolist() == [1.0]
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
