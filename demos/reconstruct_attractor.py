@@ -1,8 +1,8 @@
 """Rebuild the Lorenz attractor from a single observed coordinate.
 
 Walks the standard reconstruction recipe end to end: look at the delay the
-autocorrelation rule proposes, pick a dimension from false-nearest-neighbor
-fractions, embed, and eyeball the result as a coarse terminal scatter.
+autocorrelation rule proposes, embed at the fixed dimension m = 3 the
+pipeline uses, and eyeball the result as a coarse terminal scatter.
 Run with: python3 demos/reconstruct_attractor.py
 """
 
@@ -16,8 +16,6 @@ from phaseshape import (
     autocorrelation,
     delay_embed,
     estimate_delay,
-    estimate_dimension,
-    fnn_fractions,
     lorenz_generate,
 )
 
@@ -53,15 +51,7 @@ def main():
     tau = DEFAULT_DELAYS["lorenz"]
     print(f"using the conventional working delay instead: tau = {tau}")
 
-    fractions = fnn_fractions(x, tau=tau, m_max=6)
-    print("\nfalse nearest neighbors by dimension:")
-    for m, f in enumerate(fractions, start=1):
-        bar = "#" * int(round(f * 40))
-        print(f"  m = {m}   {f:7.4f}  {bar}")
-    dim = estimate_dimension(fractions)
-    print(f"chosen dimension: m = {dim.m} (converged = {dim.converged})")
-
-    ps = delay_embed(x, EmbeddingParams(m=dim.m, tau=tau))
+    ps = delay_embed(x, EmbeddingParams(m=3, tau=tau))
     print(f"\nembedded cloud: {ps.points.shape[0]} points in {ps.points.shape[1]}-d")
     print(f"attractor diameter: {attractor_diameter(ps):.2f}")
     print("\nprojection onto delay coordinates 0 and 2 (both lobes visible):")

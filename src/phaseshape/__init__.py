@@ -19,14 +19,11 @@ from .models import (
 )
 from .embedding import (
     DelayEstimate,
-    DimensionEstimate,
     EmbeddingParams,
     PhaseSpace,
     autocorrelation,
     delay_embed,
     estimate_delay,
-    estimate_dimension,
-    fnn_fractions,
 )
 from .shapes import (
     ShapeConfig,
@@ -92,11 +89,8 @@ __all__ = [
     "EmbeddingParams",
     "PhaseSpace",
     "DelayEstimate",
-    "DimensionEstimate",
     "autocorrelation",
     "estimate_delay",
-    "fnn_fractions",
-    "estimate_dimension",
     "delay_embed",
     "ShapeConfig",
     "ShapeDistribution",

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int, is_int
 from .series import TimeSeries
 
 __all__ = [
@@ -63,11 +63,6 @@ N_RADII = 8
 RADII_SPAN = (0.05, 1.0)
 
 
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer; booleans are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class LLEConfig:
     """Divergence-tracking settings.
@@ -84,18 +79,14 @@ class LLEConfig:
     fit_range: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not (_is_int(self.theiler) and self.theiler >= 0):
-            raise ValidationError(f"theiler must be an integer >= 0, got {self.theiler!r}")
-        if not (_is_int(self.k_max) and self.k_max >= 3):
-            raise ValidationError(f"k_max must be an integer >= 3, got {self.k_max!r}")
-        object.__setattr__(self, "theiler", int(self.theiler))
-        object.__setattr__(self, "k_max", int(self.k_max))
+        object.__setattr__(self, "theiler", check_int("theiler", self.theiler, 0))
+        object.__setattr__(self, "k_max", check_int("k_max", self.k_max, 3))
         if self.fit_range is not None:
             try:
                 lo, hi = self.fit_range
             except (TypeError, ValueError):
                 lo = hi = None
-            if not (_is_int(lo) and _is_int(hi) and 0 <= lo < hi < self.k_max):
+            if not (is_int(lo) and is_int(hi) and 0 <= lo < hi < self.k_max):
                 raise ValidationError(
                     f"fit_range must be integers 0 <= lo < hi < k_max, got {self.fit_range!r}"
                 )
@@ -320,9 +311,8 @@ def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
 def _admissible_pairs(p: int, theiler) -> int:
     """Number of pairs (i, j) with j - i > theiler among p points; the one
     theiler check of every C(r) entry point."""
-    if not (_is_int(theiler) and theiler >= 0):
-        raise ValidationError(f"theiler must be an integer >= 0, got {theiler!r}")
-    total = max(p - int(theiler) - 1, 0) * (p - int(theiler)) // 2
+    theiler = check_int("theiler", theiler, 0)
+    total = max(p - theiler - 1, 0) * (p - theiler) // 2
     if total < 2:
         raise ValidationError(
             f"theiler window {theiler} leaves {total} admissible pairs; need at least 2"

@@ -6,10 +6,10 @@ sidecar), features (shape-distribution features of a CSV), chaos (the
 classify (leave-one-out nearest neighbor over a dataset or the synthetic
 two-system protocol).
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error,
-3 numerical failure. The PHASESHAPE_SEED environment variable supplies a
-default seed where one applies; whatever seed is used is echoed in the
-output so runs stay replayable.
+Exit codes: 0 success, 1 usage error, 2 data or validation error or out
+of memory, 3 numerical failure. The PHASESHAPE_SEED environment variable
+supplies a default seed where one applies; whatever seed is used is echoed
+in the output so runs stay replayable.
 """
 
 from __future__ import annotations
@@ -459,6 +459,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -1,8 +1,8 @@
-"""Delay-embedding reconstruction and embedding-parameter estimation.
+"""Delay-embedding reconstruction and embedding-delay estimation.
 
 The embedding delay is estimated from the autocorrelation function (first
-non-positive lag, with a documented fallback ladder) and the embedding
-dimension from the false-nearest-neighbor fractions.
+non-positive lag, with a documented fallback ladder); the embedding
+dimension is a fixed parameter.
 """
 
 from __future__ import annotations
@@ -10,20 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .series import TimeSeries
 
 __all__ = [
     "EmbeddingParams",
     "PhaseSpace",
     "DelayEstimate",
-    "DimensionEstimate",
     "autocorrelation",
     "estimate_delay",
-    "fnn_fractions",
-    "estimate_dimension",
     "delay_embed",
 ]
 
@@ -36,12 +32,8 @@ class EmbeddingParams:
     tau: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValidationError(f"m must be an integer >= 1, got {self.m!r}")
-        if not (isinstance(self.tau, (int, np.integer)) and self.tau >= 1):
-            raise ValidationError(f"tau must be an integer >= 1, got {self.tau!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "tau", int(self.tau))
+        object.__setattr__(self, "m", check_int("m", self.m, 1))
+        object.__setattr__(self, "tau", check_int("tau", self.tau, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,91 +161,6 @@ def estimate_delay(series: TimeSeries, max_lag: int | None = None) -> DelayEstim
     return DelayEstimate(top, "max-lag")
 
 
-def _embed_matrix(x: np.ndarray, m: int, tau: int) -> np.ndarray:
-    p = x.size - (m - 1) * tau
-    return np.column_stack([x[i * tau : i * tau + p] for i in range(m)])
-
-
-def fnn_fractions(
-    series: TimeSeries,
-    tau: int,
-    m_max: int,
-    r_tol: float = 15.0,
-    a_tol: float = 2.0,
-) -> np.ndarray:
-    """False-nearest-neighbor fractions for dimensions m = 1..m_max.
-
-    For each m, every delay vector's nearest neighbor (over the vectors that
-    can be extended by one more coordinate) is tested for falseness when the
-    (m+1)-th coordinate is appended: a neighbor is false when the extra
-    separation exceeds ``r_tol`` times the m-dimensional distance, or when
-    the extended distance exceeds ``a_tol`` times the series' standard
-    deviation.
-
-    Returns
-    -------
-    ndarray of length m_max
-        Fraction of false neighbors per dimension, each in [0, 1].
-    """
-    if not (isinstance(tau, (int, np.integer)) and tau >= 1):
-        raise ValidationError(f"tau must be an integer >= 1, got {tau!r}")
-    if not (isinstance(m_max, (int, np.integer)) and m_max >= 1):
-        raise ValidationError(f"m_max must be an integer >= 1, got {m_max!r}")
-    if not (r_tol > 0 and a_tol > 0):
-        raise ValidationError(f"r_tol and a_tol must be positive, got {r_tol}, {a_tol}")
-    x = series.samples
-    n = x.size
-    if n - m_max * tau < 2:
-        raise ValidationError(
-            f"series of length {n} too short for m_max={m_max} with tau={tau}"
-        )
-    r_a = x.std()
-    if r_a == 0:
-        raise ValidationError("zero-variance series")
-    # Relative distance floor: exactly repeated delay vectors give a zero
-    # nearest-neighbor distance and an undefined growth ratio otherwise.
-    floor = 1e-10 * r_a
-    fracs = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        p = n - m * tau  # only vectors that still have an (m+1)-th coordinate
-        pts = _embed_matrix(x, m, tau)[:p]
-        tree = cKDTree(pts)
-        dist, nb = tree.query(pts, k=2)
-        d = np.maximum(dist[:, 1], floor)
-        j = nb[:, 1]
-        extra = np.abs(x[np.arange(p) + m * tau] - x[j + m * tau])
-        false_ratio = extra / d > r_tol
-        false_size = np.sqrt(d**2 + extra**2) / r_a > a_tol
-        fracs[m - 1] = float(np.mean(false_ratio | false_size))
-    return fracs
-
-
-@dataclass(frozen=True)
-class DimensionEstimate:
-    """Estimated embedding dimension; ``converged`` is False when no
-    dimension reached the threshold and the argmin was returned instead."""
-
-    m: int
-    converged: bool
-
-
-def estimate_dimension(fractions, threshold: float = 0.01) -> DimensionEstimate:
-    """Smallest m whose false-neighbor fraction is at or below ``threshold``.
-
-    Falls back to the dimension with the minimum fraction, flagged as not
-    converged, when no entry reaches the threshold.
-    """
-    f = np.asarray(fractions, dtype=float)
-    if f.size == 0:
-        raise ValidationError("fractions must be nonempty")
-    if not 0 < threshold < 1:
-        raise ValidationError(f"threshold must be in (0, 1), got {threshold}")
-    under = np.flatnonzero(f <= threshold)
-    if under.size:
-        return DimensionEstimate(int(under[0]) + 1, True)
-    return DimensionEstimate(int(np.argmin(f)) + 1, False)
-
-
 def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
     """Build the delay-embedding phase space of a scalar series.
 
@@ -262,9 +169,10 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
     """
     x = series.samples
     m, tau = params.m, params.tau
-    if x.size - (m - 1) * tau < 1:
+    p = x.size - (m - 1) * tau
+    if p < 1:
         raise ValidationError(
             f"series of length {x.size} too short for m={m}, tau={tau}"
         )
-    pts = _embed_matrix(x, m, tau)
+    pts = np.column_stack([x[i * tau : i * tau + p] for i in range(m)])
     return PhaseSpace(points=pts, params=params)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one integer rule.
 
 Two failure families are distinguished so that callers (and the CLI exit
 codes) can tell bad input apart from runtime numerical breakdown.
@@ -6,7 +6,9 @@ codes) can tell bad input apart from runtime numerical breakdown.
 
 from contextlib import contextmanager
 
-__all__ = ["ValidationError", "NumericalError", "channel_errors"]
+import numpy as np
+
+__all__ = ["ValidationError", "NumericalError", "channel_errors", "is_int", "check_int"]
 
 
 class ValidationError(ValueError):
@@ -26,3 +28,19 @@ def channel_errors(ci: int):
         yield
     except (ValidationError, NumericalError) as e:
         raise type(e)(f"channel {ci}: {e}") from e
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; booleans are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, low: int) -> int:
+    """``int(value)`` for an integer ``value >= low``, else ValidationError.
+
+    Every count, window and seed of the package goes through this rule;
+    seeds use ``low=0``.
+    """
+    if not (is_int(value) and value >= low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

@@ -20,7 +20,7 @@ import numpy as np
 from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
 from .embedding import EmbeddingParams, estimate_delay
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .models import (
     GenConfig,
     LORENZ_IC_HIGH,
@@ -111,24 +111,19 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _check_jobs(jobs) -> None:
-    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
-        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
-
-
 def _map(fn, tasks, jobs: int):
     """Order-preserving map, threaded when jobs > 1."""
     tasks = list(tasks)
-    _check_jobs(jobs)
+    jobs = check_int("jobs", jobs, 1)
     if jobs == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 
 
 def _derived_seed(root_seed: int, *key) -> int:
     """Deterministic per-task seed from a root seed and a task key."""
-    return int(np.random.SeedSequence([int(root_seed), *key]).generate_state(1)[0])
+    return int(np.random.SeedSequence([root_seed, *key]).generate_state(1)[0])
 
 
 def generate_system(system: str, config: GenConfig) -> MultiSeries:
@@ -175,6 +170,7 @@ def stability_experiment(
     former below the latter.
     """
     _metric_name(metric)
+    seed = check_int("seed", seed, 0)
     lor = sorted(int(n) for n in lorenz_lengths)
     ros = sorted(int(n) for n in rossler_lengths)
     plan = [("lorenz", lor), ("rossler", ros)]
@@ -259,17 +255,17 @@ def synthetic_instances(
     trajectories integrate as one batch, whose rows equal the one-at-a-time
     trajectories bit for bit, so ``jobs`` is only checked.
     """
-    if not (isinstance(per_class, (int, np.integer)) and per_class >= 1):
-        raise ValidationError(f"per_class must be an integer >= 1, got {per_class!r}")
-    _check_jobs(jobs)
+    per_class = check_int("per_class", per_class, 1)
+    root_seed = check_int("root_seed", root_seed, 0)
+    check_int("jobs", jobs, 1)
 
     instances = []
     for class_idx, system in enumerate(SYSTEMS):
         low, high = _IC_BOXES[system]
         lo, hi = LENGTH_RANGES[system]
         configs = []
-        for k in range(int(per_class)):
-            rng = np.random.default_rng(np.random.SeedSequence([int(root_seed), class_idx, k]))
+        for k in range(per_class):
+            rng = np.random.default_rng(np.random.SeedSequence([root_seed, class_idx, k]))
             ic = rng.uniform(low, high)
             n = int(rng.integers(lo, hi + 1))
             configs.append(GenConfig(n=n, ic=tuple(float(v) for v in ic)))
@@ -280,12 +276,13 @@ def synthetic_instances(
 
 def _resolve_delay(series: MultiSeries, delays) -> int:
     """Per-instance embedding delay: explicit int, per-label table, the
-    system default for the bundled labels, or estimated from channel 0."""
+    system default for the bundled labels, or estimated from channel 0.
+    A given delay is checked where it builds the EmbeddingParams."""
     if isinstance(delays, (int, np.integer)):
-        return int(delays)
+        return delays
     if isinstance(delays, dict):
         if series.label in delays:
-            return int(delays[series.label])
+            return delays[series.label]
         raise ValidationError(f"no delay given for label {series.label!r}")
     if delays is not None:
         raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
@@ -320,6 +317,7 @@ def classification_experiment(
     if metric is None:
         metric = "chi2" if features == "shape" else "l2"
     _metric_name(metric)
+    root_seed = check_int("root_seed", root_seed, 0)
     if instances is None:
         instances = synthetic_instances(per_class, root_seed, jobs=jobs)
         source = {"synthetic": True, "per_class": int(per_class)}
@@ -333,8 +331,7 @@ def classification_experiment(
 
     def one(task):
         q, inst = task
-        tau = _resolve_delay(inst.series, delays)
-        params = EmbeddingParams(m=m, tau=tau)
+        params = EmbeddingParams(m=m, tau=_resolve_delay(inst.series, delays))
         if features == "shape":
             cfg = ShapeConfig(
                 kind=kind, n_samples=n_samples, bins=bins,
@@ -343,7 +340,7 @@ def classification_experiment(
             vec = feature_vector(inst.series, params, cfg)
         else:
             vec = chaos_feature_vector(inst.series.channels[0], params).vector
-        return LabeledFeature(id=inst.id, label=inst.label, vector=vec), tau
+        return LabeledFeature(id=inst.id, label=inst.label, vector=vec), params.tau
 
     results = _map(one, list(enumerate(instances)), jobs)
     feats = [r[0] for r in results]
@@ -353,7 +350,7 @@ def classification_experiment(
         name="classification",
         config={
             "source": source,
-            "root_seed": int(root_seed),
+            "root_seed": root_seed,
             "features": features,
             "kind": kind if features == "shape" else None,
             "metric": metric,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int
 from .series import MultiSeries, TimeSeries
 
 __all__ = [
@@ -94,7 +94,7 @@ class GenConfig:
     ic : 3-tuple of float, optional
         Initial condition. Default (1, 1, 1). Ignored when ``seed`` is set.
     seed : int, optional
-        When given, the initial condition is drawn uniformly from the
+        When given (>= 0), the initial condition is drawn uniformly from the
         system's ic box and ``ic`` is ignored.
     """
 
@@ -105,23 +105,19 @@ class GenConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", check_int("n", self.n, 2))
         if self.dt is not None:
             dt = _require_finite("dt", self.dt)
             if dt <= 0:
                 raise ValidationError(f"dt must be positive, got {dt}")
             object.__setattr__(self, "dt", dt)
-        if not (isinstance(self.transient, (int, np.integer)) and self.transient >= 0):
-            raise ValidationError(f"transient must be a non-negative integer, got {self.transient!r}")
+        object.__setattr__(self, "transient", check_int("transient", self.transient, 0))
         ic = tuple(_require_finite(f"ic[{i}]", v) for i, v in enumerate(self.ic))
         if len(ic) != 3:
             raise ValidationError(f"ic must have 3 components, got {len(ic)}")
         object.__setattr__(self, "ic", ic)
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "transient", int(self.transient))
-        if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import ValidationError, channel_errors
+from .errors import ValidationError, channel_errors, check_int
 from .series import MultiSeries
 
 __all__ = [
@@ -64,7 +64,7 @@ class ShapeConfig:
         DT2 decay per sample. None resolves to 1 / (tau * (m - 1)), so the
         weight falls to 1/e across one embedding window.
     seed : int
-        RNG seed; identical configs reproduce identical samples.
+        RNG seed, >= 0; identical configs reproduce identical samples.
     normalization : {"mean-normalized", "raw-range"}
         Binning policy. The default divides samples by their mean and bins
         over [0, 4] with clamping, which makes the histogram invariant to
@@ -82,25 +82,17 @@ class ShapeConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
-            raise ValidationError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
-        if not (isinstance(self.bins, (int, np.integer)) and self.bins >= 1):
-            raise ValidationError(f"bins must be an integer >= 1, got {self.bins!r}")
-        if self.delta is not None and not (
-            isinstance(self.delta, (int, np.integer)) and self.delta >= 1
-        ):
-            raise ValidationError(f"delta must be an integer >= 1, got {self.delta!r}")
+        object.__setattr__(self, "n_samples", check_int("n_samples", self.n_samples, 1))
+        object.__setattr__(self, "bins", check_int("bins", self.bins, 1))
+        if self.delta is not None:
+            object.__setattr__(self, "delta", check_int("delta", self.delta, 1))
         if self.gamma is not None and not self.gamma >= 0:
             raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ValidationError(
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "bins", int(self.bins))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaseshape import MultiSeries, TimeSeries, load_csv, read_meta, write_csv
+from phaseshape import cli
 from phaseshape.cli import main
 
 
@@ -285,6 +286,35 @@ class TestClassify:
 
     def test_bad_synthetic_name(self):
         assert main(["classify", "--synthetic", "henon-ikeda"]) == 1
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv, env, field", [
+        (["features", "{csv}", "--tau", "8", "--seed", "-1"], None, "seed"),
+        (["features", "{csv}", "--tau", "8"], "-1", "seed"),
+        (["gen-model", "lorenz", "--n", "50", "--seed", "-1", "--out", "{out}"], None, "seed"),
+        (["stability", "--lorenz-lengths", "300", "--seed", "-1"], None, "seed"),
+        (["stability", "--lorenz-lengths", "300", "--gen-seed", "-1"], None, "seed"),
+        (["classify", "--synthetic", "lorenz-rossler", "--seed", "-1"], None, "root_seed"),
+    ])
+    def test_exit_two_with_one_line(self, rossler_csv, tmp_path, capsys, monkeypatch,
+                                    argv, env, field):
+        if env is not None:
+            monkeypatch.setenv("PHASESHAPE_SEED", env)
+        argv = [a.format(csv=rossler_csv, out=tmp_path / "g.csv") for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be an integer >= 0, got -1\n"
+
+
+def test_out_of_memory_exits_two(rossler_csv, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 114. MiB for an array")
+
+    monkeypatch.setattr(cli, "chaos_feature_vector", exhausted)
+    assert main(["chaos", str(rossler_csv), "--tau", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 114. MiB for an array\n"
 
 
 class TestTopLevel:

@@ -9,8 +9,6 @@ from phaseshape import (
     autocorrelation,
     delay_embed,
     estimate_delay,
-    estimate_dimension,
-    fnn_fractions,
 )
 
 
@@ -159,52 +157,3 @@ class TestEstimateDelay:
         assert est.tau == 1
         assert est.method == "zero-crossing"
 
-
-class TestFnn:
-    def test_sine_fractions(self):
-        sine = TimeSeries(np.sin(2 * np.pi * np.arange(2000) / 20))
-        f = fnn_fractions(sine, tau=5, m_max=5)
-        assert abs(f[0] - 0.2762) < 1e-3
-        assert (f[1:] == 0.0).all()
-
-    def test_lorenz_converges_at_three(self, lorenz_default):
-        f = fnn_fractions(lorenz_default.channels[0], tau=11, m_max=5)
-        assert f[2] < 0.01
-        est = estimate_dimension(f)
-        assert est.m == 3
-        assert est.converged
-
-    def test_noise_stays_high(self, noise_series):
-        f = fnn_fractions(noise_series, tau=1, m_max=3)
-        assert f[2] > 0.10
-        est = estimate_dimension(f)
-        assert not est.converged
-        assert est.m == int(np.argmin(f)) + 1
-
-    def test_constant_series_rejected(self):
-        with pytest.raises(ValidationError, match="zero-variance"):
-            fnn_fractions(TimeSeries(np.ones(100)), tau=1, m_max=2)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValidationError, match="too short"):
-            fnn_fractions(TimeSeries(np.random.default_rng(0).normal(size=10)), tau=3, m_max=3)
-
-    def test_duplicate_points_survive(self):
-        # Exact repeats give zero nearest-neighbor distances; the relative
-        # floor keeps the ratio test finite.
-        x = TimeSeries(np.tile([0.0, 1.0, 2.0, 1.0], 50))
-        f = fnn_fractions(x, tau=1, m_max=3)
-        assert np.isfinite(f).all()
-
-
-class TestEstimateDimension:
-    def test_first_below_threshold(self):
-        est = estimate_dimension([0.9, 0.005, 0.001])
-        assert est.m == 2
-        assert est.converged
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            estimate_dimension([])
-        with pytest.raises(ValidationError):
-            estimate_dimension([0.5], threshold=0.0)
