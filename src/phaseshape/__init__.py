@@ -13,6 +13,7 @@ from .models import (
     GenConfig,
     LorenzParams,
     RosslerParams,
+    generate_system,
     lorenz_generate,
     rk4_integrate,
     rossler_generate,
@@ -63,7 +64,6 @@ from .experiments import (
     ExperimentReport,
     Instance,
     classification_experiment,
-    generate_system,
     load_dataset,
     stability_experiment,
     synthetic_instances,

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +27,7 @@ from .chaos import chaos_feature_vector
 from .classify import ConfusionMatrix
 from .embedding import EmbeddingParams, estimate_delay
 from .errors import NumericalError, ValidationError, channel_errors
-from .models import (
-    GenConfig,
-    LORENZ_DT,
-    ROSSLER_DT,
-    LorenzParams,
-    RosslerParams,
-    lorenz_generate,
-    params_dict,
-    rossler_generate,
-)
+from .models import BUNDLED, GenConfig, generate_system
 from .experiments import (
     LORENZ_LENGTHS,
     ROSSLER_LENGTHS,
@@ -144,26 +136,17 @@ def _emit(payload, out) -> None:
 
 def cmd_gen_model(args) -> int:
     seed = _seed_or_env(args.seed, None)
-    dt = args.dt if args.dt is not None else (LORENZ_DT if args.system == "lorenz" else ROSSLER_DT)
-    config = GenConfig(n=args.n, dt=dt, transient=args.transient, ic=args.ic, seed=seed)
-    if args.system == "lorenz":
-        params = LorenzParams(
-            sigma=args.sigma if args.sigma is not None else LorenzParams().sigma,
-            rho=args.rho if args.rho is not None else LorenzParams().rho,
-            beta=args.beta if args.beta is not None else LorenzParams().beta,
-        )
-        if any(v is not None for v in (args.a, args.b, args.c)):
-            raise ValidationError("--a/--b/--c apply to rossler, not lorenz")
-        series = lorenz_generate(config, params)
-    else:
-        params = RosslerParams(
-            a=args.a if args.a is not None else RosslerParams().a,
-            b=args.b if args.b is not None else RosslerParams().b,
-            c=args.c if args.c is not None else RosslerParams().c,
-        )
-        if any(v is not None for v in (args.sigma, args.rho, args.beta)):
-            raise ValidationError("--sigma/--rho/--beta apply to lorenz, not rossler")
-        series = rossler_generate(config, params)
+    config = GenConfig(n=args.n, dt=args.dt, transient=args.transient, ic=args.ic, seed=seed)
+    cls = BUNDLED[args.system]
+    params = cls(**{
+        f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name) is not None
+    })
+    for other, other_cls in BUNDLED.items():
+        names = [f.name for f in fields(other_cls)]
+        if other != args.system and any(getattr(args, nm) is not None for nm in names):
+            flags = "/".join(f"--{nm}" for nm in names)
+            raise ValidationError(f"{flags} apply to {other}, not {args.system}")
+    series = generate_system(args.system, config, params)
 
     out = Path(args.out) if args.out else Path(f"{args.system}.csv")
     write_csv(series, out)
@@ -176,7 +159,7 @@ def cmd_gen_model(args) -> int:
             "transient": config.transient,
             "ic": list(config.ic),
             "seed": seed,
-            "params": params_dict(params),
+            "params": asdict(params),
         },
     )
     print(f"wrote {out} ({series.n} rows, {len(series)} channels, dt={series.dt:g})")
@@ -363,19 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("gen-model", help="write a model trajectory CSV + meta sidecar")
-    g.add_argument("system", choices=["lorenz", "rossler"])
+    g.add_argument("system", choices=list(BUNDLED))
     g.add_argument("--n", type=int, default=5000, help="samples kept after the transient")
     g.add_argument("--dt", type=float, default=None, help="integration step (system default)")
     g.add_argument("--transient", type=int, default=1000)
     g.add_argument("--ic", type=_ic_arg, default=(1.0, 1.0, 1.0), metavar="X,Y,Z")
     g.add_argument("--seed", type=int, default=None,
                    help="draw the initial condition from the system's ic box")
-    g.add_argument("--sigma", type=float, default=None, help="lorenz sigma")
-    g.add_argument("--rho", type=float, default=None, help="lorenz rho")
-    g.add_argument("--beta", type=float, default=None, help="lorenz beta")
-    g.add_argument("--a", type=float, default=None, help="rossler a")
-    g.add_argument("--b", type=float, default=None, help="rossler b")
-    g.add_argument("--c", type=float, default=None, help="rossler c")
+    for system, cls in BUNDLED.items():
+        for f in fields(cls):
+            g.add_argument(f"--{f.name}", type=float, default=None, help=f"{system} {f.name}")
     g.add_argument("--out", default=None, help="output CSV path (default <system>.csv)")
     g.set_defaults(func=cmd_gen_model)
 

@@ -21,15 +21,7 @@ from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
 from .embedding import EmbeddingParams, estimate_delay
 from .errors import ValidationError, check_int
-from .models import (
-    GenConfig,
-    LORENZ_IC_HIGH,
-    LORENZ_IC_LOW,
-    ROSSLER_IC_HIGH,
-    ROSSLER_IC_LOW,
-    _lorenz_batch,
-    _rossler_batch,
-)
+from .models import BUNDLED, GenConfig, _generate, generate_system
 from .series import MultiSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
 
@@ -48,7 +40,8 @@ __all__ = [
     "load_dataset",
 ]
 
-SYSTEMS = ("lorenz", "rossler")
+# In BUNDLED order; a system's index here is its synthetic seed key.
+SYSTEMS = tuple(BUNDLED)
 
 # Embedding delays used for the bundled systems at their default time steps.
 DEFAULT_DELAYS = {"lorenz": 11, "rossler": 8}
@@ -58,13 +51,6 @@ DEFAULT_DELAYS = {"lorenz": 11, "rossler": 8}
 LORENZ_LENGTHS = (1000, 2000, 3000, 4000, 5000)
 ROSSLER_LENGTHS = (400, 800, 1200, 1600, 2000)
 LENGTH_RANGES = {"lorenz": (1000, 5000), "rossler": (400, 2000)}
-
-# Each maps a list of GenConfigs to their trajectories, integrated as one batch.
-_GENERATORS = {"lorenz": _lorenz_batch, "rossler": _rossler_batch}
-_IC_BOXES = {
-    "lorenz": (LORENZ_IC_LOW, LORENZ_IC_HIGH),
-    "rossler": (ROSSLER_IC_LOW, ROSSLER_IC_HIGH),
-}
 
 
 def _jsonable(obj):
@@ -126,13 +112,6 @@ def _derived_seed(root_seed: int, *key) -> int:
     return int(np.random.SeedSequence([root_seed, *key]).generate_state(1)[0])
 
 
-def generate_system(system: str, config: GenConfig) -> MultiSeries:
-    """Dispatch to the named bundled generator ("lorenz" or "rossler")."""
-    if system not in _GENERATORS:
-        raise ValidationError(f"system must be one of {SYSTEMS}, got {system!r}")
-    return _GENERATORS[system]([config])[0]
-
-
 @dataclass(frozen=True)
 class Instance:
     """One labeled trajectory with a stable id."""
@@ -163,7 +142,8 @@ def stability_experiment(
 
     One trajectory per system is generated at that system's largest
     requested length (default initial condition unless gen_seed is given);
-    every requested length is a prefix of it. Each prefix is summarized by
+    every requested length is a prefix of it. A system's lengths must be
+    distinct integers >= 2. Each prefix is summarized by
     the concatenated per-channel shape distribution, and all instances are
     compared pairwise. The headline metrics are the largest within-system
     and smallest cross-system distance: a stable descriptor keeps the
@@ -171,9 +151,12 @@ def stability_experiment(
     """
     _metric_name(metric)
     seed = check_int("seed", seed, 0)
-    lor = sorted(int(n) for n in lorenz_lengths)
-    ros = sorted(int(n) for n in rossler_lengths)
+    lor = sorted(check_int("lorenz lengths", n, 2) for n in lorenz_lengths)
+    ros = sorted(check_int("rossler lengths", n, 2) for n in rossler_lengths)
     plan = [("lorenz", lor), ("rossler", ros)]
+    for system, lens in plan:
+        if len(set(lens)) < len(lens):
+            raise ValidationError(f"{system} lengths must be distinct, got {lens}")
     tasks = []
     for system, lens in plan:
         for n in lens:
@@ -184,8 +167,6 @@ def stability_experiment(
     trajectories = {}
     for system, lens in plan:
         if lens:
-            if lens[0] < 2:
-                raise ValidationError(f"{system} lengths must be >= 2, got {lens[0]}")
             trajectories[system] = generate_system(system, GenConfig(n=lens[-1], seed=gen_seed))
 
     def one(task):
@@ -261,7 +242,7 @@ def synthetic_instances(
 
     instances = []
     for class_idx, system in enumerate(SYSTEMS):
-        low, high = _IC_BOXES[system]
+        low, high = BUNDLED[system].ic_box
         lo, hi = LENGTH_RANGES[system]
         configs = []
         for k in range(per_class):
@@ -269,7 +250,7 @@ def synthetic_instances(
             ic = rng.uniform(low, high)
             n = int(rng.integers(lo, hi + 1))
             configs.append(GenConfig(n=n, ic=tuple(float(v) for v in ic)))
-        batch = _GENERATORS[system](configs)
+        batch = _generate(system, configs)
         instances += [Instance(id=f"{system}-{k:03d}", series=s) for k, s in enumerate(batch)]
     return instances
 

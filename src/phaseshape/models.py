@@ -2,13 +2,16 @@
 
 Two benchmark systems are provided with the parameter sets used throughout
 the reference experiments: the Lorenz system (sigma=16, rho=45.92, beta=4,
-dt=0.01) and the Rossler system (a=0.15, b=0.2, c=10, dt=0.12).
+dt=0.01) and the Rossler system (a=0.15, b=0.2, c=10, dt=0.12). Each params
+class carries its system's derivative, default step and ic box, and
+``BUNDLED`` maps the system names to those classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,28 +21,20 @@ from .series import MultiSeries, TimeSeries
 __all__ = [
     "LorenzParams",
     "RosslerParams",
+    "BUNDLED",
     "GenConfig",
     "rk4_integrate",
+    "generate_system",
     "lorenz_generate",
     "rossler_generate",
     "LORENZ_DT",
     "ROSSLER_DT",
-    "LORENZ_IC_LOW",
-    "LORENZ_IC_HIGH",
-    "ROSSLER_IC_LOW",
-    "ROSSLER_IC_HIGH",
 ]
 
 # System-default sampling steps. At these steps the benchmark delay
 # estimates for the two systems land at 11 and 8 samples respectively.
 LORENZ_DT = 0.01
 ROSSLER_DT = 0.12
-
-# Boxes for randomized initial conditions (seeded dataset generation).
-LORENZ_IC_LOW = (-10.0, -10.0, -10.0)
-LORENZ_IC_HIGH = (10.0, 10.0, 10.0)
-ROSSLER_IC_LOW = (-5.0, -5.0, 0.0)
-ROSSLER_IC_HIGH = (5.0, 5.0, 5.0)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -56,6 +51,10 @@ def _require_finite(name: str, value: float) -> float:
 class LorenzParams:
     """Control parameters of x' = sigma(y-x), y' = x(rho-z)-y, z' = xy-beta z."""
 
+    # Default step, and the (low, high) box seeded initial conditions are drawn from.
+    default_dt: ClassVar[float] = LORENZ_DT
+    ic_box: ClassVar[tuple] = ((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
+
     sigma: float = 16.0
     rho: float = 45.92
     beta: float = 4.0
@@ -64,10 +63,18 @@ class LorenzParams:
         for f in ("sigma", "rho", "beta"):
             object.__setattr__(self, f, _require_finite(f, getattr(self, f)))
 
+    def deriv(self, s: np.ndarray) -> np.ndarray:
+        """Time derivative of a (3,) state or of a (K, 3) batch of states."""
+        x, y, z = s.T
+        return np.array([self.sigma * (y - x), x * (self.rho - z) - y, x * y - self.beta * z]).T
+
 
 @dataclass(frozen=True)
 class RosslerParams:
     """Control parameters of x' = -y-z, y' = x+ay, z' = b+z(x-c)."""
+
+    default_dt: ClassVar[float] = ROSSLER_DT
+    ic_box: ClassVar[tuple] = ((-5.0, -5.0, 0.0), (5.0, 5.0, 5.0))
 
     a: float = 0.15
     b: float = 0.20
@@ -76,6 +83,15 @@ class RosslerParams:
     def __post_init__(self):
         for f in ("a", "b", "c"):
             object.__setattr__(self, f, _require_finite(f, getattr(self, f)))
+
+    def deriv(self, s: np.ndarray) -> np.ndarray:
+        """Time derivative of a (3,) state or of a (K, 3) batch of states."""
+        x, y, z = s.T
+        return np.array([-y - z, x + self.a * y, self.b + z * (x - self.c)]).T
+
+
+# The bundled systems: name -> params class, in seed-key order.
+BUNDLED = {"lorenz": LorenzParams, "rossler": RosslerParams}
 
 
 @dataclass(frozen=True)
@@ -176,23 +192,33 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     return out
 
 
-def _generate(deriv, configs, default_dt: float, low, high, label: str) -> list[MultiSeries]:
-    """One MultiSeries per config, all integrated in one rk4_integrate pass.
+def _generate(system: str, configs, params=None) -> list[MultiSeries]:
+    """One MultiSeries per config of a bundled system, all integrated in one
+    rk4_integrate pass.
 
-    The configs must share dt; each keeps its own transient and length. A
+    ``params`` defaults to the system's params class with its defaults. The
+    configs must share dt; each keeps its own transient and length. A
     single config integrates a (3,) state, which costs about half as much
     per step as a (1, 3) batch.
     """
-    dts = {c.dt if c.dt is not None else default_dt for c in configs}
+    if system not in BUNDLED:
+        raise ValidationError(f"system must be one of {tuple(BUNDLED)}, got {system!r}")
+    cls = BUNDLED[system]
+    if params is None:
+        params = cls()
+    elif not isinstance(params, cls):
+        raise ValidationError(f"{system} needs {cls.__name__}, got {type(params).__name__}")
+    dts = {c.dt if c.dt is not None else cls.default_dt for c in configs}
     if len(dts) != 1:
         raise ValidationError(f"a batch needs one dt, got {sorted(dts)}")
     dt = dts.pop()
+    low, high = cls.ic_box
     ics = np.array([
         np.random.default_rng(c.seed).uniform(low, high) if c.seed is not None else c.ic
         for c in configs
     ], dtype=float)
     steps = max(c.transient + c.n for c in configs) - 1
-    traj = rk4_integrate(deriv, ics[0] if len(configs) == 1 else ics, dt, steps)
+    traj = rk4_integrate(params.deriv, ics[0] if len(configs) == 1 else ics, dt, steps)
     traj = traj.reshape(steps + 1, len(configs), 3)
     out = []
     for k, c in enumerate(configs):
@@ -200,8 +226,14 @@ def _generate(deriv, configs, default_dt: float, low, high, label: str) -> list[
         channels = tuple(
             TimeSeries(kept[:, i], dt=dt, name=nm) for i, nm in enumerate(("x", "y", "z"))
         )
-        out.append(MultiSeries(channels, label=label))
+        out.append(MultiSeries(channels, label=system))
     return out
+
+
+def generate_system(system: str, config: GenConfig, params=None) -> MultiSeries:
+    """Generate a ``BUNDLED`` system as a 3-channel MultiSeries labeled with
+    its name; ``params``, when given, must be of that system's params class."""
+    return _generate(system, [config], params)[0]
 
 
 def lorenz_generate(config: GenConfig, params: LorenzParams | None = None) -> MultiSeries:
@@ -210,17 +242,7 @@ def lorenz_generate(config: GenConfig, params: LorenzParams | None = None) -> Mu
     The first ``config.transient`` samples are discarded. Sample period is
     ``config.dt`` or 0.01 by default.
     """
-    return _lorenz_batch([config], params)[0]
-
-
-def _lorenz_batch(configs, params: LorenzParams | None = None) -> list[MultiSeries]:
-    p = params if params is not None else LorenzParams()
-
-    def deriv(s):
-        x, y, z = s.T
-        return np.array([p.sigma * (y - x), x * (p.rho - z) - y, x * y - p.beta * z]).T
-
-    return _generate(deriv, configs, LORENZ_DT, LORENZ_IC_LOW, LORENZ_IC_HIGH, "lorenz")
+    return generate_system("lorenz", config, params)
 
 
 def rossler_generate(config: GenConfig, params: RosslerParams | None = None) -> MultiSeries:
@@ -228,19 +250,4 @@ def rossler_generate(config: GenConfig, params: RosslerParams | None = None) -> 
 
     Sample period is ``config.dt`` or 0.12 by default.
     """
-    return _rossler_batch([config], params)[0]
-
-
-def _rossler_batch(configs, params: RosslerParams | None = None) -> list[MultiSeries]:
-    p = params if params is not None else RosslerParams()
-
-    def deriv(s):
-        x, y, z = s.T
-        return np.array([-y - z, x + p.a * y, p.b + z * (x - p.c)]).T
-
-    return _generate(deriv, configs, ROSSLER_DT, ROSSLER_IC_LOW, ROSSLER_IC_HIGH, "rossler")
-
-
-def params_dict(params) -> dict:
-    """Plain-dict view of a params dataclass, for config echoes."""
-    return asdict(params)
+    return generate_system("rossler", config, params)

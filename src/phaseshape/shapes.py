@@ -13,6 +13,7 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -86,8 +87,9 @@ class ShapeConfig:
         object.__setattr__(self, "bins", check_int("bins", self.bins, 1))
         if self.delta is not None:
             object.__setattr__(self, "delta", check_int("delta", self.delta, 1))
-        if self.gamma is not None and not self.gamma >= 0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma!r}")
+        g = self.gamma
+        if g is not None and (type(g) is bool or not isinstance(g, Real) or not 0 <= g < np.inf):
+            raise ValidationError(f"gamma must be a finite real >= 0, got {g!r}")
         if self.normalization not in NORMALIZATIONS:
             raise ValidationError(
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"

@@ -1,9 +1,21 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from phaseshape import MultiSeries, TimeSeries, load_csv, read_meta, write_csv
+from phaseshape import (
+    GenConfig,
+    LorenzParams,
+    MultiSeries,
+    RosslerParams,
+    TimeSeries,
+    load_csv,
+    lorenz_generate,
+    read_meta,
+    rossler_generate,
+    write_csv,
+)
 from phaseshape import cli
 from phaseshape.cli import main
 
@@ -67,12 +79,31 @@ class TestGenModel:
     def test_malformed_ic_is_usage_error(self):
         assert main(["gen-model", "lorenz", "--ic", "1,2"]) == 1
 
-    def test_cross_system_params_rejected(self, tmp_path):
+    @pytest.mark.parametrize("system, flags, params, generate", [
+        ("lorenz", ["--sigma", "10", "--rho", "28", "--beta", "2.5"],
+         LorenzParams(sigma=10, rho=28, beta=2.5), lorenz_generate),
+        ("lorenz", ["--rho", "28"], LorenzParams(rho=28), lorenz_generate),
+        ("rossler", ["--a", "0.2", "--b", "0.3", "--c", "6"],
+         RosslerParams(a=0.2, b=0.3, c=6), rossler_generate),
+    ])
+    def test_params_flags(self, tmp_path, system, flags, params, generate):
+        out, want = tmp_path / "o.csv", tmp_path / "want.csv"
+        assert main(["gen-model", system, "--n", "300", *flags, "--out", str(out)]) == 0
+        write_csv(generate(GenConfig(n=300), params), want)
+        assert out.read_bytes() == want.read_bytes()
+        assert read_meta(out)["params"] == asdict(params)
+
+    def test_cross_system_params_rejected(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["gen-model", "rossler", "--n", "50", "--sigma", "10",
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --sigma/--rho/--beta apply to lorenz, not rossler\n"
+        )
         assert main(["gen-model", "lorenz", "--n", "50", "--a", "0.2",
                      "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --a/--b/--c apply to rossler, not lorenz\n"
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_step_is_numerical_error(self, tmp_path, capsys):
@@ -225,6 +256,15 @@ class TestStability:
 
     def test_no_lengths(self, capsys):
         assert main(["stability", "--lorenz-lengths", "", "--rossler-lengths", ""]) == 2
+
+    def test_duplicate_lengths(self, tmp_path, capsys):
+        out_dir = tmp_path / "stab"
+        assert main(["stability", "--lorenz-lengths", "1000,1000", "--rossler-lengths", "400",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lorenz lengths must be distinct, got [1000, 1000]\n"
+        )
+        assert not out_dir.exists()
 
     def test_bad_lengths_list(self):
         assert main(["stability", "--lorenz-lengths", "5x0"]) == 1

@@ -70,6 +70,14 @@ SITES = [
         ).artifacts["instances"][0]["tau"],
         True,
     ),
+    (
+        "lorenz lengths",
+        2,
+        lambda v: stability_experiment(
+            lorenz_lengths=(v,), rossler_lengths=(), m=1, n_samples=200
+        ).config["lorenz_lengths"][0],
+        True,
+    ),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 

@@ -21,6 +21,7 @@ from phaseshape import (
     write_meta,
 )
 from phaseshape import experiments
+from phaseshape.models import BUNDLED
 
 
 def _sine_instance(iid, label, period, phase=0.0):
@@ -111,6 +112,18 @@ class TestStability:
         with pytest.raises(ValidationError, match="no lengths"):
             stability_experiment(lorenz_lengths=[], rossler_lengths=[])
 
+    @pytest.mark.parametrize("lengths, system", [
+        ({"lorenz_lengths": [1000, 600, 1000], "rossler_lengths": [400]}, "lorenz"),
+        ({"lorenz_lengths": [600], "rossler_lengths": [400, 400]}, "rossler"),
+    ])
+    def test_duplicate_lengths_rejected_before_generation(self, monkeypatch, lengths, system):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trajectory generated before the lengths were checked")
+
+        monkeypatch.setattr(experiments, "generate_system", no_work)
+        with pytest.raises(ValidationError, match=rf"^{system} lengths must be distinct, got "):
+            stability_experiment(**lengths)
+
     def test_bad_metric(self):
         with pytest.raises(ValidationError, match="metric"):
             stability_experiment(lorenz_lengths=[500], rossler_lengths=[], metric="cosine")
@@ -172,7 +185,7 @@ class TestSyntheticInstances:
             rng = np.random.default_rng(
                 np.random.SeedSequence([root_seed, experiments.SYSTEMS.index(system), int(k)])
             )
-            ic = rng.uniform(*experiments._IC_BOXES[system])
+            ic = rng.uniform(*BUNDLED[system].ic_box)
             lo, hi = experiments.LENGTH_RANGES[system]
             n = int(rng.integers(lo, hi + 1))
             want = generate_system(system, GenConfig(n=n, ic=tuple(ic)))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,7 @@ from phaseshape import (
     rossler_generate,
 )
 from phaseshape import models
-from phaseshape.models import (
-    LORENZ_DT,
-    LORENZ_IC_HIGH,
-    LORENZ_IC_LOW,
-    ROSSLER_DT,
-    ROSSLER_IC_HIGH,
-    ROSSLER_IC_LOW,
-    params_dict,
-)
+from phaseshape.models import BUNDLED, LORENZ_DT, ROSSLER_DT, generate_system
 
 
 class TestParams:
@@ -36,8 +30,19 @@ class TestParams:
         assert LORENZ_DT == 0.01
         assert ROSSLER_DT == 0.12
 
-    def test_params_dict(self):
-        assert params_dict(LorenzParams()) == {"sigma": 16.0, "rho": 45.92, "beta": 4.0}
+    def test_bundled_table(self):
+        assert list(BUNDLED.items()) == [("lorenz", LorenzParams), ("rossler", RosslerParams)]
+        assert (LorenzParams.default_dt, RosslerParams.default_dt) == (LORENZ_DT, ROSSLER_DT)
+        assert LorenzParams.ic_box == ((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
+        assert RosslerParams.ic_box == ((-5.0, -5.0, 0.0), (5.0, 5.0, 5.0))
+
+    def test_class_facts_are_not_fields(self):
+        assert asdict(LorenzParams()) == {"sigma": 16.0, "rho": 45.92, "beta": 4.0}
+        assert asdict(RosslerParams()) == {"a": 0.15, "b": 0.20, "c": 10.0}
+
+    def test_deriv(self):
+        assert LorenzParams().deriv(np.array([1.0, 2.0, 3.0])).tolist() == [16.0, 40.92, -10.0]
+        assert RosslerParams().deriv(np.array([1.0, 2.0, 3.0])).tolist() == [-5.0, 1.3, -26.8]
 
 
 class TestGenConfig:
@@ -107,57 +112,42 @@ class TestRk4:
             rk4_integrate(lambda y: -y, np.ones((2, 2, 1)), 0.1, 5)
 
 
-def _bundled_deriv(generate):
-    """The derivative a bundled generator hands to rk4_integrate."""
-    seen = []
-
-    def record(deriv, y0, dt, n_steps):
-        seen.append(deriv)
-        return rk4_integrate(deriv, y0, dt, n_steps)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "rk4_integrate", record)
-        generate(GenConfig(n=2, transient=0))
-    return seen[0]
-
-
-# system -> (single generator, batch generator, ic box, dt)
-BUNDLED = {
-    "lorenz": (lorenz_generate, models._lorenz_batch, (LORENZ_IC_LOW, LORENZ_IC_HIGH), LORENZ_DT),
-    "rossler": (
-        rossler_generate, models._rossler_batch, (ROSSLER_IC_LOW, ROSSLER_IC_HIGH), ROSSLER_DT
-    ),
-}
-
-
 class TestBatch:
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("system", BUNDLED)
     def test_rows_equal_single_integrations(self, system, k):
-        generate, _, box, dt = BUNDLED[system]
-        deriv = _bundled_deriv(generate)
-        ics = np.random.default_rng(k).uniform(*box, (k, 3))
-        batch = rk4_integrate(deriv, ics, dt, 2000)
+        cls = BUNDLED[system]
+        deriv = cls().deriv
+        ics = np.random.default_rng(k).uniform(*cls.ic_box, (k, 3))
+        batch = rk4_integrate(deriv, ics, cls.default_dt, 2000)
         assert batch.shape == (2001, k, 3)
         for row, ic in enumerate(ics):
-            assert np.array_equal(batch[:, row], rk4_integrate(deriv, ic, dt, 2000))
+            assert np.array_equal(batch[:, row], rk4_integrate(deriv, ic, cls.default_dt, 2000))
 
     @pytest.mark.parametrize("system", BUNDLED)
     def test_batch_generation_equals_single(self, system):
-        generate, batch, _, _ = BUNDLED[system]
         configs = [
             GenConfig(n=300, seed=1),
             GenConfig(n=120, transient=50, ic=(2.0, -1.0, 4.0)),
             GenConfig(n=2, transient=0),
         ]
-        for got, config in zip(batch(configs), configs):
-            want = generate(config)
+        for got, config in zip(models._generate(system, configs), configs):
+            want = generate_system(system, config)
             assert (got.n, got.dt, got.label) == (want.n, want.dt, want.label)
             assert np.array_equal(got.to_array(), want.to_array())
 
     def test_batch_needs_one_dt(self):
         with pytest.raises(ValidationError, match="one dt"):
-            models._lorenz_batch([GenConfig(n=10), GenConfig(n=10, dt=0.02)])
+            models._generate("lorenz", [GenConfig(n=10), GenConfig(n=10, dt=0.02)])
+
+    @pytest.mark.parametrize("system, params", [
+        ("rossler", LorenzParams()),
+        ("lorenz", RosslerParams()),
+        ("lorenz", {"sigma": 10.0}),
+    ])
+    def test_wrong_params_class_rejected(self, system, params):
+        with pytest.raises(ValidationError, match=rf"^{system} needs "):
+            generate_system(system, GenConfig(n=10), params)
 
 
 class TestLorenz:
@@ -178,7 +168,7 @@ class TestLorenz:
 
     def test_seed_draws_ic_from_box(self):
         a = lorenz_generate(GenConfig(n=10, transient=0, seed=3))
-        ic = np.random.default_rng(3).uniform(LORENZ_IC_LOW, LORENZ_IC_HIGH)
+        ic = np.random.default_rng(3).uniform(*LorenzParams.ic_box)
         assert (a.to_array()[0] == ic).all()
 
     def test_seed_reproducible_and_distinct(self):
@@ -202,7 +192,7 @@ class TestRossler:
 
     def test_seed_draws_ic_from_box(self):
         a = rossler_generate(GenConfig(n=10, transient=0, seed=9))
-        ic = np.random.default_rng(9).uniform(ROSSLER_IC_LOW, ROSSLER_IC_HIGH)
+        ic = np.random.default_rng(9).uniform(*RosslerParams.ic_box)
         assert (a.to_array()[0] == ic).all()
         assert 0.0 <= ic[2] <= 5.0
 

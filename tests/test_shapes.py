@@ -54,6 +54,11 @@ class TestShapeConfig:
         with pytest.raises(ValidationError):
             ShapeConfig(**kwargs)
 
+    @pytest.mark.parametrize("gamma", ["x", True, np.True_, -0.5, np.nan, np.inf])
+    def test_gamma_must_be_a_real(self, gamma):
+        with pytest.raises(ValidationError, match=r"^gamma must be a finite real >= 0, got "):
+            ShapeConfig(kind="DT2", gamma=gamma)
+
     def test_resolve_defaults_from_window(self):
         x = TimeSeries(np.random.default_rng(0).normal(size=300))
         ps = delay_embed(x, EmbeddingParams(m=3, tau=11))
