@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError, check_int, is_int
+from .errors import NumericalError, ValidationError, check_int, check_real, is_int
 from .series import TimeSeries
 
 __all__ = [
@@ -254,8 +254,7 @@ def lle_rosenstein(
     step where the curve has covered 70% of its rise (at least 2). Raises
     NumericalError if the curve is constant over the fit segment.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt!r}")
+    dt = check_real("dt", dt, 0, strict=True)
     if config is None:
         config = default_lle_config(ps)
     curve = divergence_curve(ps, config)

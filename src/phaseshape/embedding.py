@@ -111,8 +111,7 @@ def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarra
     """
     x = series.samples
     n = x.size
-    if max_lag is None:
-        max_lag = n // 4
+    max_lag = n // 4 if max_lag is None else check_int("max_lag", max_lag, 1)
     if not 1 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [1, N), got {max_lag} for N={n}")
     x0 = x - x.mean()

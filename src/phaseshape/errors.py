@@ -1,14 +1,19 @@
-"""Exception types shared across the package, and the one integer rule.
+"""Exception types shared across the package, and the one integer rule and
+the one real rule.
 
 Two failure families are distinguished so that callers (and the CLI exit
 codes) can tell bad input apart from runtime numerical breakdown.
 """
 
+import math
 from contextlib import contextmanager
+from numbers import Real
 
 import numpy as np
 
-__all__ = ["ValidationError", "NumericalError", "channel_errors", "is_int", "check_int"]
+__all__ = [
+    "ValidationError", "NumericalError", "channel_errors", "is_int", "check_int", "check_real",
+]
 
 
 class ValidationError(ValueError):
@@ -44,3 +49,22 @@ def check_int(name: str, value, low: int) -> int:
     if not (is_int(value) and value >= low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, low: float = -math.inf, strict: bool = False) -> float:
+    """``float(value)`` for a finite real ``value >= low`` (``> low`` when
+    ``strict``), else ValidationError.
+
+    Every real parameter of the package goes through this rule. Booleans and
+    strings are not reals, and neither is an int too large for a float.
+    """
+    v = math.nan
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:
+            pass
+    if not (math.isfinite(v) and (v > low if strict else v >= low)):
+        bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+        raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
+    return v

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +150,8 @@ def stability_experiment(
     former below the latter.
     """
     _metric_name(metric)
+    m = check_int("m", m, 1)
+    base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
     seed = check_int("seed", seed, 0)
     lor = sorted(check_int("lorenz lengths", n, 2) for n in lorenz_lengths)
     ros = sorted(check_int("rossler lengths", n, 2) for n in rossler_lengths)
@@ -173,9 +175,7 @@ def stability_experiment(
         idx, system, n = task
         series = trajectories[system].prefix(n)
         params = EmbeddingParams(m=m, tau=DEFAULT_DELAYS[system])
-        cfg = ShapeConfig(
-            kind=kind, n_samples=n_samples, bins=bins, seed=_derived_seed(seed, idx)
-        )
+        cfg = replace(base, seed=_derived_seed(seed, idx))
         return channel_distributions(series, [params] * len(series), cfg)
 
     results = _map(one, tasks, jobs)
@@ -249,7 +249,7 @@ def synthetic_instances(
             rng = np.random.default_rng(np.random.SeedSequence([root_seed, class_idx, k]))
             ic = rng.uniform(low, high)
             n = int(rng.integers(lo, hi + 1))
-            configs.append(GenConfig(n=n, ic=tuple(float(v) for v in ic)))
+            configs.append(GenConfig(n=n, ic=tuple(ic)))
         batch = _generate(system, configs)
         instances += [Instance(id=f"{system}-{k:03d}", series=s) for k, s in enumerate(batch)]
     return instances
@@ -298,6 +298,9 @@ def classification_experiment(
     if metric is None:
         metric = "chi2" if features == "shape" else "l2"
     _metric_name(metric)
+    m = check_int("m", m, 1)
+    if features == "shape":
+        base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
     root_seed = check_int("root_seed", root_seed, 0)
     if instances is None:
         instances = synthetic_instances(per_class, root_seed, jobs=jobs)
@@ -314,10 +317,7 @@ def classification_experiment(
         q, inst = task
         params = EmbeddingParams(m=m, tau=_resolve_delay(inst.series, delays))
         if features == "shape":
-            cfg = ShapeConfig(
-                kind=kind, n_samples=n_samples, bins=bins,
-                seed=_derived_seed(root_seed, 2, q),
-            )
+            cfg = replace(base, seed=_derived_seed(root_seed, 2, q))
             vec = feature_vector(inst.series, params, cfg)
         else:
             vec = chaos_feature_vector(inst.series.channels[0], params).vector

@@ -9,13 +9,12 @@ class carries its system's derivative, default step and ic box, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_int
+from .errors import NumericalError, ValidationError, check_int, check_real
 from .series import MultiSeries, TimeSeries
 
 __all__ = [
@@ -37,16 +36,6 @@ LORENZ_DT = 0.01
 ROSSLER_DT = 0.12
 
 
-def _require_finite(name: str, value: float) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a finite real, got {value!r}") from None
-    if not math.isfinite(v):
-        raise ValidationError(f"{name} must be finite, got {v!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class LorenzParams:
     """Control parameters of x' = sigma(y-x), y' = x(rho-z)-y, z' = xy-beta z."""
@@ -61,7 +50,7 @@ class LorenzParams:
 
     def __post_init__(self):
         for f in ("sigma", "rho", "beta"):
-            object.__setattr__(self, f, _require_finite(f, getattr(self, f)))
+            object.__setattr__(self, f, check_real(f, getattr(self, f)))
 
     def deriv(self, s: np.ndarray) -> np.ndarray:
         """Time derivative of a (3,) state or of a (K, 3) batch of states."""
@@ -82,7 +71,7 @@ class RosslerParams:
 
     def __post_init__(self):
         for f in ("a", "b", "c"):
-            object.__setattr__(self, f, _require_finite(f, getattr(self, f)))
+            object.__setattr__(self, f, check_real(f, getattr(self, f)))
 
     def deriv(self, s: np.ndarray) -> np.ndarray:
         """Time derivative of a (3,) state or of a (K, 3) batch of states."""
@@ -123,12 +112,9 @@ class GenConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", check_int("n", self.n, 2))
         if self.dt is not None:
-            dt = _require_finite("dt", self.dt)
-            if dt <= 0:
-                raise ValidationError(f"dt must be positive, got {dt}")
-            object.__setattr__(self, "dt", dt)
+            object.__setattr__(self, "dt", check_real("dt", self.dt, 0, strict=True))
         object.__setattr__(self, "transient", check_int("transient", self.transient, 0))
-        ic = tuple(_require_finite(f"ic[{i}]", v) for i, v in enumerate(self.ic))
+        ic = tuple(check_real(f"ic[{i}]", v) for i, v in enumerate(self.ic))
         if len(ic) != 3:
             raise ValidationError(f"ic must have 3 components, got {len(ic)}")
         object.__setattr__(self, "ic", ic)
@@ -167,10 +153,8 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
         and for a batch also the first row that went non-finite:
         ``non-finite state at integration step 13 (row 1)``.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be a positive finite real, got {dt!r}")
-    if n_steps < 0:
-        raise ValidationError(f"n_steps must be non-negative, got {n_steps}")
+    dt = check_real("dt", dt, 0, strict=True)
+    n_steps = check_int("n_steps", n_steps, 0)
     y = np.array(y0, dtype=float, ndmin=1)
     if y.ndim > 2:
         raise ValidationError(f"y0 must have shape (dim,) or (K, dim), got {y.shape}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 
 __all__ = [
     "TimeSeries",
@@ -27,17 +27,6 @@ __all__ = [
     "write_meta",
     "meta_path",
 ]
-
-
-def _positive_dt(value, what: str = "dt") -> float:
-    """``value`` as a positive finite float; booleans are not sample periods."""
-    try:
-        dt = float(value)
-    except (TypeError, ValueError, OverflowError):
-        dt = math.nan
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"{what} must be a positive finite real, got {value!r}")
-    return dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +56,7 @@ class TimeSeries:
         if not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise ValidationError(f"non-finite sample at index {bad}")
-        object.__setattr__(self, "dt", _positive_dt(self.dt))
+        object.__setattr__(self, "dt", check_real("dt", self.dt, 0, strict=True))
         if self.name is not None and not isinstance(self.name, str):
             raise ValidationError(f"name must be a string, got {type(self.name).__name__}")
         arr.setflags(write=False)
@@ -231,7 +220,7 @@ def write_csv(series: MultiSeries, path) -> None:
     try:
         with p.open("w", newline="\n") as fh:
             if named:
-                fh.write(",".join(ch.name for ch in series.channels) + "\n")
+                csv.writer(fh, lineterminator="\n").writerow(ch.name for ch in series.channels)
             for r in range(series.n):
                 fh.write(",".join(f"{col[r]:.17g}" for col in cols) + "\n")
     except OSError as e:
@@ -271,4 +260,4 @@ def read_meta(csv_path) -> dict | None:
 def sidecar_dt(csv_path) -> float:
     """The sidecar's "dt" entry, else 1.0; a bad value names the sidecar."""
     dt = (read_meta(csv_path) or {}).get("dt", 1.0)
-    return _positive_dt(dt, f"sidecar {meta_path(csv_path)} dt")
+    return check_real(f"sidecar {meta_path(csv_path)} dt", dt, 0, strict=True)

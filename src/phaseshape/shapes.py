@@ -13,14 +13,13 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import ValidationError, channel_errors, check_int
+from .errors import ValidationError, channel_errors, check_int, check_real
 from .series import MultiSeries
 
 __all__ = [
@@ -87,9 +86,8 @@ class ShapeConfig:
         object.__setattr__(self, "bins", check_int("bins", self.bins, 1))
         if self.delta is not None:
             object.__setattr__(self, "delta", check_int("delta", self.delta, 1))
-        g = self.gamma
-        if g is not None and (type(g) is bool or not isinstance(g, Real) or not 0 <= g < np.inf):
-            raise ValidationError(f"gamma must be a finite real >= 0, got {g!r}")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0))
         if self.normalization not in NORMALIZATIONS:
             raise ValidationError(
                 f"normalization must be one of {NORMALIZATIONS}, got {self.normalization!r}"

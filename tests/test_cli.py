@@ -105,6 +105,17 @@ class TestGenModel:
         assert capsys.readouterr().err == "error: --a/--b/--c apply to rossler, not lorenz\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "0"], "dt must be a finite real > 0, got 0.0"),
+        (["--sigma", "nan"], "sigma must be a finite real, got nan"),
+        (["--ic", "1,nan,1"], "ic[1] must be a finite real, got nan"),
+    ], ids=["dt", "sigma", "ic"])
+    def test_bad_real_exits_two_with_one_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o.csv"
+        assert main(["gen-model", "lorenz", "--n", "50", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_step_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"

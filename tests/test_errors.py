@@ -1,4 +1,10 @@
-"""The one integer rule (``errors.check_int``) at every site that applies it."""
+"""The one integer rule (``errors.check_int``) and the one real rule
+(``errors.check_real``) at every site that applies them."""
+
+import math
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +14,29 @@ from phaseshape import (
     GenConfig,
     Instance,
     LLEConfig,
+    LorenzParams,
+    RosslerParams,
     ShapeConfig,
+    TimeSeries,
     ValidationError,
+    autocorrelation,
     classification_experiment,
+    delay_embed,
+    estimate_delay,
     generate_system,
+    lle_rosenstein,
+    rk4_integrate,
     stability_experiment,
     synthetic_instances,
+    write_meta,
 )
 from phaseshape.chaos import _admissible_pairs
-from phaseshape.errors import check_int
+from phaseshape.errors import check_int, check_real
+from phaseshape.series import sidecar_dt
 from phaseshape.experiments import _map
+
+
+_SINE = TimeSeries(np.sin(np.arange(200) / 5.0))
 
 
 def _tiny_instances():
@@ -78,6 +97,9 @@ SITES = [
         ).config["lorenz_lengths"][0],
         True,
     ),
+    ("n_steps", 0, lambda v: rk4_integrate(lambda y: -y, [1.0], 0.1, v), False),
+    ("max_lag", 1, lambda v: autocorrelation(_SINE, v), False),
+    ("max_lag", 1, lambda v: estimate_delay(_SINE, v), False),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 
@@ -106,3 +128,83 @@ def test_check_int():
         check_int("k", 4, 5)
     with pytest.raises(ValidationError, match=r"got '4'$"):
         check_int("k", "4", 0)
+
+
+@cache
+def _lorenz_ps():
+    x = generate_system("lorenz", GenConfig(n=600)).channels[0]
+    return delay_embed(x, EmbeddingParams(m=3, tau=11))
+
+
+def _sidecar_dt(value):
+    """sidecar_dt of a sidecar holding ``value``; JSON keeps numpy scalars as
+    their Python equivalents."""
+    with tempfile.TemporaryDirectory() as d:
+        csv = Path(d) / "run.csv"
+        write_meta(csv, {"dt": np.asarray(value).item()})
+        return sidecar_dt(csv)
+
+
+# (name pattern, low, strict, call, keeps): the site's message names the
+# parameter as the regex ``name pattern``; low is None for unbounded sites.
+REAL_SITES = [
+    ("dt", 0, True, lambda v: TimeSeries([0.0, 1.0], dt=v).dt, True),
+    (r"sidecar \S+run\.meta\.json dt", 0, True, _sidecar_dt, True),
+    ("sigma", None, False, lambda v: LorenzParams(sigma=v).sigma, True),
+    ("c", None, False, lambda v: RosslerParams(c=v).c, True),
+    ("dt", 0, True, lambda v: GenConfig(n=10, dt=v).dt, True),
+    (r"ic\[1\]", None, False, lambda v: GenConfig(n=10, ic=(1.0, v, 1.0)).ic[1], True),
+    ("dt", 0, True, lambda v: rk4_integrate(lambda y: -y, [1.0], v, 2), False),
+    ("dt", 0, True, lambda v: lle_rosenstein(_lorenz_ps(), dt=v), False),
+    ("gamma", 0, False, lambda v: ShapeConfig(kind="DT2", gamma=v).gamma, True),
+]
+REAL_IDS = [
+    "TimeSeries-dt", "sidecar-dt", "LorenzParams-sigma", "RosslerParams-c", "GenConfig-dt",
+    "GenConfig-ic", "rk4_integrate-dt", "lle_rosenstein-dt", "ShapeConfig-gamma",
+]
+
+
+def _real_message(name, low, strict):
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    return rf"^{name} must be a finite real{bound}, got "
+
+
+@pytest.mark.parametrize("name, low, strict, call, keeps", REAL_SITES, ids=REAL_IDS)
+@pytest.mark.parametrize("value", [True, np.True_, "1.5", math.nan, math.inf],
+                         ids=["true", "np-true", "str", "nan", "inf"])
+def test_real_rejected(name, low, strict, call, keeps, value):
+    with pytest.raises(ValidationError, match=_real_message(name, low, strict)):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "name, low, strict, call, keeps", [s for s in REAL_SITES if s[1] is not None],
+    ids=[i for i, s in zip(REAL_IDS, REAL_SITES) if s[1] is not None],
+)
+def test_real_boundary_rejected(name, low, strict, call, keeps):
+    value = low if strict else low - 0.5
+    with pytest.raises(ValidationError, match=_real_message(name, low, strict)):
+        call(value)
+
+
+@pytest.mark.parametrize("name, low, strict, call, keeps", REAL_SITES, ids=REAL_IDS)
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(2)], ids=["np-float32", "np-int64"])
+def test_real_numpy_accepted_as_float(name, low, strict, call, keeps, value):
+    kept = call(value)
+    if keeps:
+        assert type(kept) is float
+        assert kept == float(value)
+
+
+def test_check_real():
+    assert check_real("x", -3) == -3.0
+    assert type(check_real("x", np.float64(0.25), 0, strict=True)) is float
+    assert check_real("x", 0, 0) == 0.0
+    with pytest.raises(ValidationError, match=r"^x must be a finite real > 0, got 0$"):
+        check_real("x", 0, 0, strict=True)
+    with pytest.raises(ValidationError, match=r"^x must be a finite real >= 0, got -1e-300$"):
+        check_real("x", -1e-300, 0)
+    with pytest.raises(ValidationError, match=r"^x must be a finite real, got 1000"):
+        check_real("x", 10**400)
+    with pytest.raises(ValidationError, match=r"^x must be a finite real, got None$"):
+        check_real("x", None)

@@ -124,6 +124,19 @@ class TestStability:
         with pytest.raises(ValidationError, match=rf"^{system} lengths must be distinct, got "):
             stability_experiment(**lengths)
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"kind": "D9"}, "kind must be one of"),
+        ({"bins": 0}, "bins must be an integer >= 1, got 0"),
+        ({"m": 0}, "m must be an integer >= 1, got 0"),
+    ], ids=["kind", "bins", "m"])
+    def test_bad_setting_rejected_before_generation(self, monkeypatch, setting, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trajectory generated before the settings were checked")
+
+        monkeypatch.setattr(experiments, "generate_system", no_work)
+        with pytest.raises(ValidationError, match=rf"^{message}"):
+            stability_experiment(**setting)
+
     def test_bad_metric(self):
         with pytest.raises(ValidationError, match="metric"):
             stability_experiment(lorenz_lengths=[500], rossler_lengths=[], metric="cosine")
@@ -323,6 +336,29 @@ class TestClassification:
             classification_experiment(instances=insts, features=features, metric="cosine")
         with pytest.raises(ValidationError, match="metric"):
             classification_experiment(per_class=1, features=features, metric="cosine")
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"kind": "D9"}, "kind must be one of"),
+        ({"bins": 0}, "bins must be an integer >= 1, got 0"),
+        ({"m": 0}, "m must be an integer >= 1, got 0"),
+    ], ids=["kind", "bins", "m"])
+    def test_bad_setting_rejected_before_generation(self, monkeypatch, setting, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trajectory generated before the settings were checked")
+
+        monkeypatch.setattr(experiments, "_generate", no_work)
+        with pytest.raises(ValidationError, match=rf"^{message}"):
+            classification_experiment(per_class=20, **setting)
+
+    def test_chaos_features_ignore_shape_settings(self, monkeypatch):
+        class FakeChaos:
+            def __init__(self, series, params):
+                self.vector = np.full(10, series.samples[1])
+
+        monkeypatch.setattr(experiments, "chaos_feature_vector", FakeChaos)
+        insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
+        rep = classification_experiment(instances=insts, features="chaos", kind="D9", bins=0)
+        assert rep.config["kind"] is None
 
     def test_too_few_instances(self):
         insts = [_sine_instance("slow-0", "slow", 40)]

@@ -112,6 +112,23 @@ class TestCsvRoundTrip:
         for a, b in zip(ms.channels, back.channels):
             assert (a.samples == b.samples).all()
 
+    def test_plain_header_is_unquoted(self, tmp_path):
+        ms = MultiSeries(tuple(TimeSeries([1.0, 2.0], name=nm) for nm in ("x", "y", "z")))
+        path = tmp_path / "t.csv"
+        write_csv(ms, path)
+        assert path.read_text() == "x,y,z\n1,1,1\n2,2,2\n"
+
+    def test_names_needing_quotes_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('"a,b",c\n1,2\n3,4\n')
+        names = [ch.name for ch in load_csv(path).channels]
+        assert names == ["a,b", "c"]
+        names[1] = 'say "c"'
+        ms = MultiSeries(tuple(TimeSeries([1.0, 2.0], name=nm) for nm in names))
+        write_csv(ms, path)
+        assert path.read_text().splitlines()[0] == '"a,b","say ""c"""'
+        assert [ch.name for ch in load_csv(path).channels] == names
+
     def test_header_written_only_when_all_named(self, tmp_path):
         ms = MultiSeries((TimeSeries([1.0, 2.0], name="x"), TimeSeries([3.0, 4.0])))
         path = tmp_path / "t.csv"
@@ -234,7 +251,7 @@ class TestMetaSidecar:
     def test_bad_sidecar_dt_names_sidecar(self, tmp_path, dt):
         csv = tmp_path / "run.csv"
         meta_path(csv).write_text(json.dumps({"dt": dt}))
-        with pytest.raises(ValidationError, match="run.meta.json dt must be a positive"):
+        with pytest.raises(ValidationError, match="run.meta.json dt must be a finite real > 0"):
             sidecar_dt(csv)
 
     def test_corrupt_sidecar(self, tmp_path):
