@@ -13,7 +13,8 @@ each radius; a tree result that lies within TREE_MARGIN of a decision is
 settled with that formula instead, so the results equal those of the dense
 pairwise blocks bit for bit. The attractor diameter is a dense pass over
 ``_distance_blocks``, which covers the upper triangle of the distance
-matrix in CHUNK-row blocks, one block alive at a time.
+matrix in blocks of at most BLOCK_BYTES, one block alive at a time, so the
+working memory does not grow with the number of points.
 """
 
 from __future__ import annotations
@@ -42,9 +43,19 @@ __all__ = [
     "LOW_R2_THRESHOLD",
 ]
 
-# Pairwise work is done in row blocks of this size to bound memory: the
-# dense distance blocks, and the rows per nearest-neighbor tree query.
+# Rows per nearest-neighbor tree query block.
 CHUNK = 1000
+
+# Bytes of one dense distance block: its (m, rows, columns) coordinate
+# differences. The diameter of a 5000-point, m = 3 cloud took 0.07 s with
+# 0.5-2 MiB blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB, but
+# perfbench's alloc-peak test needs its P = 778, m = 3 diameter in one
+# block, so at least 14 MiB.
+BLOCK_BYTES = 16 * 2**20
+
+# Neighbors a nearest-neighbor row first asks the tree for; k doubles until
+# the row is settled, so the result does not depend on it.
+K_START = 8
 
 # Relative margin within which a tree distance is not trusted to decide a
 # comparison: those neighbors and radii are re-measured with the block
@@ -134,12 +145,14 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
     return LLEConfig(theiler=theiler, k_max=k_max)
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean distances between coordinate-major a and b, each of shape
     (m, ...) and broadcast over the trailing axes: the coordinate
     differences squared, summed in coordinate order, then the root. Every
-    distance the statistics compare is computed here."""
-    d = a - b
+    distance the statistics compare is computed here. The differences go
+    to out, of their broadcast shape, when it is given; the result is a
+    view of it."""
+    d = np.subtract(a, b, out=out)
     d *= d
     s = d[0]
     for c in d[1:]:
@@ -148,26 +161,38 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _distance_blocks(pts: np.ndarray):
-    """Yield (s, block) for s = 0, CHUNK, 2 * CHUNK, ...: the distances from
-    rows s:s + CHUNK to the points s:P, as one (rows, P - s) array. The
-    blocks cover the upper triangle, diagonal included, which holds every
-    pair once. This is the dense pass behind the diameter, and behind C(r)
-    at radii the tree cannot settle; a consumer drops each block before it
-    asks for the next, so one block is alive at a time."""
+    """Yield (s, block): the distances from rows s:s + rows to the points
+    s:P, as one (rows, P - s) array, with as many rows (at least one) as
+    keep the block's (m, rows, P - s) differences within BLOCK_BYTES; rows
+    grow as the columns narrow. The blocks cover the upper triangle,
+    diagonal included, which holds every pair once. This is the dense pass
+    behind the diameter, and behind C(r) at radii the tree cannot settle.
+    Every block is computed in one buffer, so a consumer must be done with
+    a block before it asks for the next."""
     x = np.ascontiguousarray(pts.T)
-    for s in range(0, len(pts), CHUNK):
-        yield s, _pair_distances(x[:, s : s + CHUNK, None], x[:, None, s:])
+    m, p = x.shape
+    # A block holds at most BLOCK_BYTES unless it is one row, and never
+    # more than the m * P * P values of a one-block cloud. One reused buffer
+    # keeps the memory the same from run to run: fresh blocks of varying
+    # size left the allocator's heap one block larger in some runs.
+    buf = np.empty(max(min(BLOCK_BYTES // 8, m * p * p), m * p))
+    s = 0
+    while s < p:
+        rows = min(max(1, BLOCK_BYTES // (8 * m * (p - s))), p - s)
+        out = buf[: m * rows * (p - s)].reshape(m, rows, p - s)
+        yield s, _pair_distances(x[:, s : s + rows, None], x[:, None, s:], out)
+        s += rows
 
 
 def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
     """Index of each point's nearest neighbor outside the theiler window,
     ties to the smallest index.
 
-    A row's k tree neighbors start at 2 * theiler + 2, which always holds an
-    admissible one (at most 2 * theiler + 1 points lie in the window), and
-    k doubles until the k-th tree distance lies beyond TREE_MARGIN of the
-    nearest admissible one. The admissible candidates within that margin
-    are re-measured with _pair_distances, which picks the neighbor.
+    The tree is queried in blocks of CHUNK rows. A row's k tree neighbors
+    start at K_START and k doubles, up to P, until the k-th tree distance
+    lies beyond TREE_MARGIN of the nearest admissible one. The admissible
+    candidates within that margin are re-measured with _pair_distances,
+    which picks the neighbor.
     """
     p = len(pts)
     # The middle point is the last with a neighbor beyond the window.
@@ -178,7 +203,8 @@ def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
     tree = cKDTree(pts)
     nn = np.empty(p, dtype=int)
     for s in range(0, p, CHUNK):
-        rows, k = np.arange(s, min(s + CHUNK, p)), 2 * theiler + 2
+        # k stays at most P: beyond it the tree pads its results with index P
+        rows, k = np.arange(s, min(s + CHUNK, p)), min(K_START, p)
         while len(rows):
             dist, idx = tree.query(pts[rows], k=k)
             ok = np.abs(idx - rows[:, None]) > theiler
@@ -294,7 +320,6 @@ def attractor_diameter(ps: PhaseSpace) -> float:
     dia = 0.0
     for _, d in _distance_blocks(ps.points):
         dia = max(dia, float(d.max()))
-        del d
     return dia
 
 
@@ -352,7 +377,6 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
             # row i = s + r and column j = s + c, so j - i = c - r
             rows, cols = np.ogrid[: d.shape[0], : d.shape[1]]
             dm = d[cols - rows > theiler]
-            del d
             counts[shell] += [(dm <= x).sum() for x in radii[shell]]
             del dm
     return counts / total

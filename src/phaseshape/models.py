@@ -9,6 +9,7 @@ class carries its system's derivative, default step and ic box, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -114,10 +115,10 @@ class GenConfig:
         if self.dt is not None:
             object.__setattr__(self, "dt", check_real("dt", self.dt, 0, strict=True))
         object.__setattr__(self, "transient", check_int("transient", self.transient, 0))
-        ic = tuple(check_real(f"ic[{i}]", v) for i, v in enumerate(self.ic))
-        if len(ic) != 3:
-            raise ValidationError(f"ic must have 3 components, got {len(ic)}")
-        object.__setattr__(self, "ic", ic)
+        ic = self.ic.tolist() if isinstance(self.ic, np.ndarray) else self.ic
+        if isinstance(ic, (str, bytes)) or not isinstance(ic, Sequence) or len(ic) != 3:
+            raise ValidationError(f"ic must be a sequence of 3 finite reals, got {ic!r}")
+        object.__setattr__(self, "ic", tuple(check_real(f"ic[{i}]", v) for i, v in enumerate(ic)))
         if self.seed is not None:
             object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,17 @@ class TestAttractorDiameter:
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
         assert attractor_diameter(PhaseSpace.from_points(pts)) == 5.0
 
+    def test_memory_bounded_by_block_budget(self):
+        # 3000 rows of 3 coordinates: 1000-row blocks would take 72 MB here.
+        ps = PhaseSpace.from_points(np.random.default_rng(5).normal(size=(3000, 3)))
+        tracemalloc.start()
+        try:
+            attractor_diameter(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * chaos.BLOCK_BYTES
+
 
 class TestChaosFeatureVector:
     def test_lorenz_vector(self, lorenz_default):
@@ -349,7 +361,7 @@ def _clouds(draw, min_m=1):
 @st.composite
 def _tied_clouds(draw):
     """Clouds on the corners of a unit cube: every point has many exact
-    duplicates, so nearest-neighbor rows must look past 2 * theiler + 2."""
+    duplicates, so nearest-neighbor rows must look past K_START."""
     p = draw(st.integers(min_value=2, max_value=40))
     m = draw(st.integers(min_value=1, max_value=3))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -401,13 +413,14 @@ def _check_fractions(pts, radii, theiler, diameter=np.inf):
 
 class TestDistanceBlocksOracle:
     """The chaos kernels, tree and dense, against literal per-pair loops,
-    with blocks of 7 rows (dense blocks and tree queries) so that these
-    small clouds span several blocks."""
+    with tree queries of 7 rows and dense blocks of 512 bytes, so that these
+    small clouds span several blocks and some dense blocks are single rows."""
 
     @pytest.fixture(autouse=True, scope="class")
-    def _blocks_of_seven(self):
+    def _small_blocks(self):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "CHUNK", 7)
+            mp.setattr(chaos, "BLOCK_BYTES", 512)
             yield
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
@@ -415,9 +428,17 @@ class TestDistanceBlocksOracle:
     def test_nearest_neighbors(self, pts, theiler):
         _check_neighbors(pts, theiler)
 
+    @given(st.one_of(_clouds(), _tied_clouds()), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_nearest_neighbors_wide_window(self, pts, data):
+        # A window wide against P leaves few admissible points per row, so
+        # rows double k several times and some query all P points.
+        theiler = data.draw(st.integers(min_value=0, max_value=(len(pts) - 1) // 2))
+        _check_neighbors(pts, theiler)
+
     def test_nearest_neighbors_grow_k(self, monkeypatch):
         # Two alternating points: each row has 20 neighbors at distance 0,
-        # far more than the 2 * 2 + 2 it queries first.
+        # far more than the K_START it queries first.
         ks = []
 
         class Recording(cKDTree):
@@ -428,15 +449,17 @@ class TestDistanceBlocksOracle:
         monkeypatch.setattr(chaos, "cKDTree", Recording)
         pts = np.tile([[0.0], [1.0]], (20, 1))
         _check_neighbors(pts, 2)
-        assert ks[0] == 6 and max(ks) > 20
+        assert ks[0] == chaos.K_START and max(ks) > 20
 
     @given(_clouds())
     @settings(deadline=None, max_examples=100)
     def test_distance_blocks_cover_upper_triangle(self, pts):
-        p, seen = len(pts), set()
+        (p, m), seen = pts.shape, set()
         for s, d in chaos._distance_blocks(pts):
-            # rows s:s + CHUNK against columns s:P, no column before row s
-            assert d.shape == (min(chaos.CHUNK, p - s), p - s)
+            # rows from s against columns s:P, no column before row s; the
+            # block's m coordinate planes fit the budget unless it is one row
+            assert d.shape[1] == p - s
+            assert 8 * m * d.size <= chaos.BLOCK_BYTES or d.shape[0] == 1
             for r, c in np.ndindex(d.shape):
                 assert d[r, c] == _pair_distance(pts[s + r], pts[s + c])
                 seen.add((s + r, s + c))

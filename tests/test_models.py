@@ -67,6 +67,15 @@ class TestGenConfig:
         with pytest.raises(ValidationError):
             GenConfig(n=100, seed="x")
 
+    @pytest.mark.parametrize("ic", [5, None, "abc", b"abc", {1: 1.0, 2: 2.0, 3: 3.0}, (1.0, 2.0)])
+    def test_ic_must_be_a_sequence_of_three(self, ic):
+        with pytest.raises(ValidationError, match=r"^ic must be a sequence of 3 finite reals, got "):
+            GenConfig(n=10, ic=ic)
+
+    def test_ic_sequences_accepted(self):
+        for ic in ([1, 2, 3], np.array([1.0, 2.0, 3.0]), range(1, 4)):
+            assert GenConfig(n=10, ic=ic).ic == (1.0, 2.0, 3.0)
+
 
 class TestRk4:
     def test_includes_initial_state(self):

@@ -2,7 +2,9 @@
 # Bounded-memory check of the chaos baseline on one large channel: write an
 # N-row Lorenz CSV with `phaseshape gen-model`, run `phaseshape chaos --tau 11`
 # on it under a virtual-memory cap, and print the wall time and peak RSS of
-# the chaos run. The exit code is that of `phaseshape chaos`.
+# the chaos run. The chaos JSON goes to a temporary file and the command's
+# stdout is discarded, so only that one summary line prints, after anything
+# the command writes to stderr. The exit code is that of `phaseshape chaos`.
 #
 #   tools/big_chaos.sh N [LIMIT_MB]
 #
@@ -25,16 +27,17 @@ trap 'rm -rf "$work"' EXIT
 
 python3 -m phaseshape.cli gen-model lorenz --n "$n" --out "$work/lorenz.csv" >/dev/null
 ulimit -v $((limit_mb * 1024))
-python3 - "$work/lorenz.csv" "$n" "$limit_mb" <<'EOF'
+python3 - "$work/lorenz.csv" "$work/chaos.json" "$n" "$limit_mb" <<'EOF'
 import resource
 import subprocess
 import sys
 import time
 
-csv, n, limit_mb = sys.argv[1:]
+csv, out, n, limit_mb = sys.argv[1:]
 start = time.perf_counter()
 code = subprocess.run(
-    [sys.executable, "-m", "phaseshape.cli", "chaos", csv, "--tau", "11"]
+    [sys.executable, "-m", "phaseshape.cli", "chaos", csv, "--tau", "11", "--out", out],
+    stdout=subprocess.DEVNULL,
 ).returncode
 wall = time.perf_counter() - start
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
