@@ -8,10 +8,10 @@ baseline for shape-distribution features.
 Every distance these statistics compare is computed by one formula,
 ``_pair_distances``, on coordinate-major (m, ...) arrays: the squared
 coordinate differences summed in coordinate order, then the root. A
-KD-tree finds the nearest-neighbor candidates and counts the pairs within
-each radius; a tree result that lies within TREE_MARGIN of a decision is
-settled with that formula instead, so the results equal those of the dense
-pairwise blocks bit for bit. The attractor diameter is a dense pass over
+KD-tree finds the nearest-neighbor candidates; a tree distance that lies
+within TREE_MARGIN of a decision is settled with that formula instead, so
+the neighbors equal those of the dense pairwise blocks bit for bit. The
+attractor diameter and the pair counts of C(r) are each one dense pass over
 ``_distance_blocks``, which covers the upper triangle of the distance
 matrix in blocks of at most BLOCK_BYTES, one block alive at a time, so the
 working memory does not grow with the number of points.
@@ -47,18 +47,19 @@ __all__ = [
 CHUNK = 1000
 
 # Bytes of one dense distance block: its (m, rows, columns) coordinate
-# differences. The diameter of a 5000-point, m = 3 cloud took 0.07 s with
-# 0.5-2 MiB blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB, but
-# perfbench's alloc-peak test needs its P = 778, m = 3 diameter in one
-# block, so at least 14 MiB.
+# differences. It bounds the working memory of the diameter and of C(r).
+# The diameter of a 5000-point, m = 3 cloud took 0.07 s with 0.5-2 MiB
+# blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB, but perfbench's
+# alloc-peak test needs its P = 778, m = 3 diameter in one block, so at
+# least 14 MiB.
 BLOCK_BYTES = 16 * 2**20
 
 # Neighbors a nearest-neighbor row first asks the tree for; k doubles until
 # the row is settled, so the result does not depend on it.
 K_START = 8
 
-# Relative margin within which a tree distance is not trusted to decide a
-# comparison: those neighbors and radii are re-measured with the block
+# Relative margin within which a tree distance is not trusted to pick a
+# nearest neighbor: those candidates are re-measured with the block
 # arithmetic. Tree and block distances differ by a few ulps, far below it.
 TREE_MARGIN = 1e-9
 
@@ -166,7 +167,7 @@ def _distance_blocks(pts: np.ndarray):
     keep the block's (m, rows, P - s) differences within BLOCK_BYTES; rows
     grow as the columns narrow. The blocks cover the upper triangle,
     diagonal included, which holds every pair once. This is the dense pass
-    behind the diameter, and behind C(r) at radii the tree cannot settle.
+    behind the diameter and the pair counts of C(r).
     Every block is computed in one buffer, so a consumer must be done with
     a block before it asks for the next."""
     x = np.ascontiguousarray(pts.T)
@@ -348,37 +349,30 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     """Fraction of pairs with j - i > theiler and distance <= r, per radius.
 
     A radius at least the diameter (the largest _pair_distances value, when
-    the caller has it) holds every pair. Below it, one tree count at
-    r * (1 -/+ TREE_MARGIN) gives the pairs within r when both counts agree,
-    less the pairs 0 < j - i <= theiler counted by _pair_distances; the
-    radii where they differ are counted by one dense pass.
+    the caller has it) holds every pair. The radii below it are counted in
+    one dense pass over _distance_blocks, less the pairs 0 < j - i <= theiler.
     """
     total = _admissible_pairs(len(pts), theiler)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
         raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
-    p = len(pts)
     counts = np.full(len(radii), total)
     todo = np.nonzero(radii < diameter)[0]
+    if len(todo) == 0:
+        return counts / total
     r = radii[todo]
-    tree = cKDTree(pts)
-    lo, hi = tree.count_neighbors(
-        tree, np.concatenate([r * (1 - TREE_MARGIN), r * (1 + TREE_MARGIN)])
-    ).reshape(2, -1)
-    # count_neighbors counts ordered pairs, each point with itself included
-    counts[todo] = (lo - p) // 2
+    counts[todo] = 0
+    for _, d in _distance_blocks(pts):
+        # The first `rows` columns are a symmetric square with a zero
+        # diagonal: its count is 2 * (its pairs j > i) + rows, so
+        # (count + rows) // 2 of the block's count are pairs j <= i.
+        rows = d.shape[0]
+        for k, x in zip(todo, r):
+            square = np.count_nonzero(d[:, :rows] <= x)
+            counts[k] += np.count_nonzero(d <= x) - (square + rows) // 2
     for lag in range(1, theiler + 1):
         d = _pair_distances(pts.T[:, lag:], pts.T[:, :-lag])
         counts[todo] -= (d[:, None] <= r).sum(axis=0)
-    shell = todo[lo != hi]
-    if len(shell):
-        counts[shell] = 0
-        for _, d in _distance_blocks(pts):
-            # row i = s + r and column j = s + c, so j - i = c - r
-            rows, cols = np.ogrid[: d.shape[0], : d.shape[1]]
-            dm = d[cols - rows > theiler]
-            counts[shell] += [(dm <= x).sum() for x in radii[shell]]
-            del dm
     return counts / total
 
 

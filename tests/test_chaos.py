@@ -289,6 +289,15 @@ class TestCorrelationDimension:
             correlation_dimension(ps, theiler=theiler)
 
 
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAttractorDiameter:
     def test_known_cloud(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
@@ -297,12 +306,13 @@ class TestAttractorDiameter:
     def test_memory_bounded_by_block_budget(self):
         # 3000 rows of 3 coordinates: 1000-row blocks would take 72 MB here.
         ps = PhaseSpace.from_points(np.random.default_rng(5).normal(size=(3000, 3)))
-        tracemalloc.start()
-        try:
-            attractor_diameter(ps)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert _traced_peak(attractor_diameter, ps) <= 2 * chaos.BLOCK_BYTES
+
+    def test_pair_fractions_memory_bounded_by_block_budget(self):
+        # C(r) below the diameter is one dense pass over the same blocks.
+        ps = PhaseSpace.from_points(np.random.default_rng(5).normal(size=(3000, 3)))
+        radii, dia = chaos._default_radii(ps)
+        peak = _traced_peak(chaos._pair_fractions, ps.points, radii, 10, dia)
         assert peak <= 2 * chaos.BLOCK_BYTES
 
 
@@ -401,6 +411,17 @@ def _check_neighbors(pts, theiler):
         assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
 
 
+def _budgets(pts):
+    """Run the loop body at the current BLOCK_BYTES, at a budget whose blocks
+    hold three rows or more, and at one that holds the whole cloud in one
+    block, so that C(r) counts the squares of multi-row blocks."""
+    p, m = pts.shape
+    for budget in (chaos.BLOCK_BYTES, 3 * 8 * m * p, 8 * m * p * p):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chaos, "BLOCK_BYTES", budget)
+            yield
+
+
 def _check_fractions(pts, radii, theiler, diameter=np.inf):
     dists = _oracle_distances(pts, theiler)
     if len(dists) < 2:
@@ -408,13 +429,15 @@ def _check_fractions(pts, radii, theiler, diameter=np.inf):
             chaos._pair_fractions(pts, radii, theiler, diameter)
         return
     expect = [sum(d <= r for d in dists) / len(dists) for r in radii]
-    assert chaos._pair_fractions(pts, radii, theiler, diameter).tolist() == expect
+    for _ in _budgets(pts):
+        assert chaos._pair_fractions(pts, radii, theiler, diameter).tolist() == expect
 
 
 class TestDistanceBlocksOracle:
     """The chaos kernels, tree and dense, against literal per-pair loops,
     with tree queries of 7 rows and dense blocks of 512 bytes, so that these
-    small clouds span several blocks and some dense blocks are single rows."""
+    small clouds span several blocks and some dense blocks are single rows.
+    The C(r) checks also run at larger budgets (see _budgets)."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _small_blocks(self):
@@ -478,15 +501,40 @@ class TestDistanceBlocksOracle:
         # whether the caller passes the diameter or the dense pass counts it.
         assume(len(pts) >= 3)
         dia = attractor_diameter(PhaseSpace.from_points(pts))
-        assert chaos._pair_fractions(pts, [dia], 0, dia).tolist() == [1.0]
-        assert chaos._pair_fractions(pts, [dia], 0).tolist() == [1.0]
+        for _ in _budgets(pts):
+            assert chaos._pair_fractions(pts, [dia], 0, dia).tolist() == [1.0]
+            assert chaos._pair_fractions(pts, [dia], 0).tolist() == [1.0]
 
-    @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
+    @given(
+        st.one_of(_clouds(), _tied_clouds()),
+        st.integers(min_value=0, max_value=5),
+        st.randoms(use_true_random=False),
+    )
     @settings(deadline=None, max_examples=100)
-    def test_pair_fractions(self, pts, theiler):
-        # radii on pair distances themselves probe the inclusive boundary
-        radii = np.array(sorted({0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)[:5]}))
-        _check_fractions(pts, radii, theiler)
+    def test_pair_fractions(self, pts, theiler, rnd):
+        # radii on pair distances themselves probe the inclusive boundary;
+        # they come shuffled, some of them twice
+        radii = [0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)[:5]]
+        radii += rnd.sample(radii, 3)
+        rnd.shuffle(radii)
+        _check_fractions(pts, np.array(radii), theiler)
+
+    def test_pair_fractions_one_dense_pass(self, monkeypatch):
+        # One dense pass per call when a radius lies below the diameter,
+        # none when every radius is at least the diameter.
+        pts = np.random.default_rng(3).normal(size=(60, 3))
+        dia = attractor_diameter(PhaseSpace.from_points(pts))
+        dense = chaos._distance_blocks
+        calls = []
+        monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
+        for radii, diameter, passes in (
+            ([0.0, 0.5 * dia, dia, 2.0 * dia], dia, 1),
+            ([0.1, 0.2, 0.3], np.inf, 1),
+            ([dia, 2.0 * dia, dia], dia, 0),
+        ):
+            calls.clear()
+            chaos._pair_fractions(pts, radii, 2, diameter)
+            assert len(calls) == passes
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
@@ -496,8 +544,9 @@ class TestDistanceBlocksOracle:
         _check_fractions(pts, radii, theiler, dia)
 
     def test_lorenz_cloud_settled_by_tree(self, lorenz_default, monkeypatch):
-        # On a continuous cloud no tree distance lands within TREE_MARGIN of
-        # a default radius, so C(r) never falls back to the dense blocks.
+        # The nearest neighbors of a continuous cloud come from the tree
+        # alone, with no dense pass; C(r) at the default radii matches the
+        # per-pair loops.
         ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
         theiler = default_lle_config(ps).theiler
         radii, dia = chaos._default_radii(ps)
@@ -505,5 +554,5 @@ class TestDistanceBlocksOracle:
         calls = []
         monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
         _check_neighbors(ps.points, theiler)
-        _check_fractions(ps.points, radii, theiler, dia)
         assert calls == []
+        _check_fractions(ps.points, radii, theiler, dia)
