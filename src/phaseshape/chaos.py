@@ -202,6 +202,7 @@ def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
             f"theiler window {theiler} leaves some point with no admissible neighbor"
         )
     tree = cKDTree(pts)
+    x = np.ascontiguousarray(pts.T)
     nn = np.empty(p, dtype=int)
     for s in range(0, p, CHUNK):
         # k stays at most P: beyond it the tree pads its results with index P
@@ -212,7 +213,7 @@ def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
             cutoff = np.where(ok, dist, np.inf).min(axis=1, keepdims=True) * (1 + TREE_MARGIN)
             at = np.nonzero(ok & (dist <= cutoff))
             d = np.full(dist.shape, np.inf)
-            d[at] = _pair_distances(pts.T[:, rows[at[0]]], pts.T[:, idx[at]])
+            d[at] = _pair_distances(x.take(rows[at[0]], axis=1), x.take(idx[at], axis=1))
             best = np.where(d == d.min(axis=1, keepdims=True), idx, p).min(axis=1)
             done = (dist[:, -1] > cutoff[:, 0]) | (k == p)
             nn[rows[done]] = best[done]
@@ -234,13 +235,15 @@ def divergence_curve(ps: PhaseSpace, config: LLEConfig) -> np.ndarray:
             f"points, got {p}"
         )
     nn = _nearest_neighbors(pts, config.theiler)
-    i = np.arange(p)
+    # Pair i is alive at step k while both its points are: last < P - k.
+    last = np.maximum(np.arange(p), nn)
+    x = np.ascontiguousarray(pts.T)
     curve = []
     for k in range(config.k_max):
-        alive = (i + k < p) & (nn + k < p)
-        if not alive.any():
+        i = np.flatnonzero(last < p - k)
+        if len(i) == 0:
             break
-        d = _pair_distances(pts.T[:, i[alive] + k], pts.T[:, nn[alive] + k])
+        d = _pair_distances(x.take(i + k, axis=1), x.take(nn[i] + k, axis=1))
         curve.append(np.log(np.maximum(d, DIST_FLOOR)).mean())
     return np.array(curve)
 
@@ -367,12 +370,14 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
         # diagonal: its count is 2 * (its pairs j > i) + rows, so
         # (count + rows) // 2 of the block's count are pairs j <= i.
         rows = d.shape[0]
-        for k, x in zip(todo, r):
-            square = np.count_nonzero(d[:, :rows] <= x)
-            counts[k] += np.count_nonzero(d <= x) - (square + rows) // 2
+        for k, rk in zip(todo, r):
+            square = np.count_nonzero(d[:, :rows] <= rk)
+            counts[k] += np.count_nonzero(d <= rk) - (square + rows) // 2
+    # Each banded lag's distances <= r, by binary search in their sorted copy.
+    x = np.ascontiguousarray(pts.T)
     for lag in range(1, theiler + 1):
-        d = _pair_distances(pts.T[:, lag:], pts.T[:, :-lag])
-        counts[todo] -= (d[:, None] <= r).sum(axis=0)
+        d = np.sort(_pair_distances(x[:, lag:], x[:, :-lag]))
+        counts[todo] -= np.searchsorted(d, r, side="right")
     return counts / total
 
 

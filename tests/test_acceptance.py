@@ -182,7 +182,7 @@ def test_criterion_8_invariants(criterion_log, lorenz_default):
     )
 
     def err(h):
-        out = rk4_integrate(lambda y: -y, [1.0], h, int(round(1.0 / h)))
+        out = rk4_integrate(lambda y: (-y,), [1.0], h, int(round(1.0 / h)))
         return abs(out[-1, 0] - np.exp(-1.0))
 
     ratio = err(0.02) / err(0.01)

@@ -411,6 +411,22 @@ def _check_neighbors(pts, theiler):
         assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
 
 
+def _oracle_curve(pts, nn, k_max) -> list:
+    """divergence_curve by a per-k loop over single pairs in ascending i."""
+    p, x = len(pts), pts.T
+    curve = []
+    for k in range(k_max):
+        d = [
+            chaos._pair_distances(x[:, i + k, None], x[:, nn[i] + k, None])[0]
+            for i in range(p)
+            if i + k < p and nn[i] + k < p
+        ]
+        if not d:
+            break
+        curve.append(np.log(np.maximum(np.array(d), chaos.DIST_FLOOR)).mean())
+    return curve
+
+
 def _budgets(pts):
     """Run the loop body at the current BLOCK_BYTES, at a budget whose blocks
     hold three rows or more, and at one that holds the whole cloud in one
@@ -542,6 +558,25 @@ class TestDistanceBlocksOracle:
         dia = max(_pair_distance(a, b) for a in pts for b in pts)
         radii = np.array([0.0, 0.5 * dia, np.nextafter(dia, 0.0), dia, 2.0 * dia])
         _check_fractions(pts, radii, theiler, dia)
+
+    @given(
+        st.one_of(_clouds(), _tied_clouds()),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=3, max_value=12),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_divergence_curve(self, pts, theiler, k_max):
+        nn = _oracle_neighbors(pts, theiler)
+        assume(None not in nn and len(pts) > theiler + k_max + 1)
+        ps = PhaseSpace.from_points(pts)
+        got = divergence_curve(ps, LLEConfig(theiler=theiler, k_max=k_max)).tolist()
+        assert got == _oracle_curve(pts, nn, k_max)
+
+    def test_divergence_curve_lorenz(self, lorenz_default):
+        ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
+        cfg = default_lle_config(ps)
+        nn = chaos._nearest_neighbors(ps.points, cfg.theiler)
+        assert divergence_curve(ps, cfg).tolist() == _oracle_curve(ps.points, nn, cfg.k_max)
 
     def test_lorenz_cloud_settled_by_tree(self, lorenz_default, monkeypatch):
         # The nearest neighbors of a continuous cloud come from the tree

@@ -97,7 +97,7 @@ SITES = [
         ).config["lorenz_lengths"][0],
         True,
     ),
-    ("n_steps", 0, lambda v: rk4_integrate(lambda y: -y, [1.0], 0.1, v), False),
+    ("n_steps", 0, lambda v: rk4_integrate(lambda y: (-y,), [1.0], 0.1, v), False),
     ("max_lag", 1, lambda v: autocorrelation(_SINE, v), False),
     ("max_lag", 1, lambda v: estimate_delay(_SINE, v), False),
 ]
@@ -154,13 +154,17 @@ REAL_SITES = [
     ("c", None, False, lambda v: RosslerParams(c=v).c, True),
     ("dt", 0, True, lambda v: GenConfig(n=10, dt=v).dt, True),
     (r"ic\[1\]", None, False, lambda v: GenConfig(n=10, ic=(1.0, v, 1.0)).ic[1], True),
-    ("dt", 0, True, lambda v: rk4_integrate(lambda y: -y, [1.0], v, 2), False),
+    ("dt", 0, True, lambda v: rk4_integrate(lambda y: (-y,), [1.0], v, 2), False),
+    (r"y0\[0\]", None, False, lambda v: rk4_integrate(lambda y: (-y,), [v], 0.1, 2), False),
+    (r"y0\[1, 0\]", None, False,
+     lambda v: rk4_integrate(lambda *y: [-c for c in y], [[1.0, 2.0], [v, 1.0]], 0.1, 2), False),
     ("dt", 0, True, lambda v: lle_rosenstein(_lorenz_ps(), dt=v), False),
     ("gamma", 0, False, lambda v: ShapeConfig(kind="DT2", gamma=v).gamma, True),
 ]
 REAL_IDS = [
     "TimeSeries-dt", "sidecar-dt", "LorenzParams-sigma", "RosslerParams-c", "GenConfig-dt",
-    "GenConfig-ic", "rk4_integrate-dt", "lle_rosenstein-dt", "ShapeConfig-gamma",
+    "GenConfig-ic", "rk4_integrate-dt", "rk4_integrate-y0", "rk4_integrate-y0-batch",
+    "lle_rosenstein-dt", "ShapeConfig-gamma",
 ]
 
 

@@ -41,8 +41,8 @@ class TestParams:
         assert asdict(RosslerParams()) == {"a": 0.15, "b": 0.20, "c": 10.0}
 
     def test_deriv(self):
-        assert LorenzParams().deriv(np.array([1.0, 2.0, 3.0])).tolist() == [16.0, 40.92, -10.0]
-        assert RosslerParams().deriv(np.array([1.0, 2.0, 3.0])).tolist() == [-5.0, 1.3, -26.8]
+        assert LorenzParams().deriv(1.0, 2.0, 3.0) == (16.0, 40.92, -10.0)
+        assert RosslerParams().deriv(1.0, 2.0, 3.0) == (-5.0, 1.3, -26.8)
 
 
 class TestGenConfig:
@@ -79,18 +79,18 @@ class TestGenConfig:
 
 class TestRk4:
     def test_includes_initial_state(self):
-        out = rk4_integrate(lambda y: -y, [1.0], 0.1, 5)
+        out = rk4_integrate(lambda y: (-y,), [1.0], 0.1, 5)
         assert out.shape == (6, 1)
         assert out[0, 0] == 1.0
 
     def test_exponential_decay_accuracy(self):
         # y' = -y over one unit of time: classic smooth-problem check
-        out = rk4_integrate(lambda y: -y, [1.0], 0.01, 100)
+        out = rk4_integrate(lambda y: (-y,), [1.0], 0.01, 100)
         assert abs(out[-1, 0] - np.exp(-1.0)) < 1e-8
 
     def test_order_four_convergence(self):
         def err(h):
-            out = rk4_integrate(lambda y: -y, [1.0], h, int(round(1.0 / h)))
+            out = rk4_integrate(lambda y: (-y,), [1.0], h, int(round(1.0 / h)))
             return abs(out[-1, 0] - np.exp(-1.0))
 
         ratio = err(0.02) / err(0.01)
@@ -100,7 +100,15 @@ class TestRk4:
     def test_divergence_names_step(self):
         # y' = y^2 from y0=1 blows up just past t=1
         with pytest.raises(NumericalError, match=r"^non-finite state at integration step 13$"):
-            rk4_integrate(lambda y: y * y, [1.0], 0.1, 50)
+            rk4_integrate(lambda y: (y * y,), [1.0], 0.1, 50)
+
+    def test_float_errors_name_step(self):
+        # Python floats raise OverflowError and ZeroDivisionError where
+        # arrays give inf or nan
+        with pytest.raises(NumericalError, match=r"^non-finite state at integration step 13$"):
+            rk4_integrate(lambda y: (y ** 2,), [1.0], 0.1, 50)
+        with pytest.raises(NumericalError, match=r"^non-finite state at integration step 1$"):
+            rk4_integrate(lambda y: (1.0 / (y - 1.0),), [1.0], 0.1, 50)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("y0", [
@@ -112,17 +120,24 @@ class TestRk4:
         # A component from 0.1 blows up only near t=10; from 1.0, past t=1
         msg = r"^non-finite state at integration step 13 \(row 1\)$"
         with pytest.raises(NumericalError, match=msg):
-            rk4_integrate(lambda y: y * y, y0, 0.1, 50)
+            rk4_integrate(lambda *y: [c * c for c in y], y0, 0.1, 50)
 
     def test_state_shapes(self):
-        assert rk4_integrate(lambda y: -y, [[1.0, 2.0]] * 3, 0.1, 5).shape == (6, 3, 2)
-        assert rk4_integrate(lambda y: -y, 1.0, 0.1, 5).shape == (6, 1)
+        def neg(*y):
+            return [-c for c in y]
+
+        assert rk4_integrate(neg, [[1.0, 2.0]] * 3, 0.1, 5).shape == (6, 3, 2)
+        assert rk4_integrate(neg, 1.0, 0.1, 5).shape == (6, 1)
         with pytest.raises(ValidationError, match="y0"):
-            rk4_integrate(lambda y: -y, np.ones((2, 2, 1)), 0.1, 5)
+            rk4_integrate(neg, np.ones((2, 2, 1)), 0.1, 5)
+        with pytest.raises(ValidationError, match="y0"):
+            rk4_integrate(neg, [[1.0, 2.0], [3.0]], 0.1, 5)
 
 
 class TestBatch:
-    @pytest.mark.parametrize("k", [1, 4])
+    # k = 20 is the batch size of the perfbench synthetic-shape workload. The
+    # batch steps as arrays, each row's own (3,) integration as floats.
+    @pytest.mark.parametrize("k", [1, 4, 20])
     @pytest.mark.parametrize("system", BUNDLED)
     def test_rows_equal_single_integrations(self, system, k):
         cls = BUNDLED[system]
@@ -157,6 +172,30 @@ class TestBatch:
     def test_wrong_params_class_rejected(self, system, params):
         with pytest.raises(ValidationError, match=rf"^{system} needs "):
             generate_system(system, GenConfig(n=10), params)
+
+
+# float.hex of the x, y, z samples at a few indices, recorded when RK4
+# stepped (3,) numpy arrays: the float stepping keeps its operation order, so
+# not one bit may move.
+PINNED_STATES = {
+    ("lorenz", 11): {
+        0: ("0x1.f5caa5bc472f8p+3", "0x1.3d3e47e90242dp+3", "0x1.b0341a1cdb0cbp+5"),
+        150: ("-0x1.25b2389d7fcc3p+0", "-0x1.1a2396f93b6aap+1", "0x1.aa10e079d890dp+4"),
+        299: ("0x1.72e89527429a4p+0", "0x1.5287f628a070cp+1", "0x1.196c1930b2432p+4"),
+    },
+    ("rossler", 12): {
+        0: ("0x1.62ec22fbb92e0p+3", "0x1.65cb32f9dc6aep+1", "0x1.0231105bd05bcp-1"),
+        150: ("0x1.73dcb44f74cf9p+3", "-0x1.e05f49e13df48p-3", "0x1.49eb5034930e4p-2"),
+        299: ("0x1.4f00f8184411ap+3", "-0x1.09587b9b6ac73p+2", "0x1.eeb9807ef5ef2p-4"),
+    },
+}
+
+
+@pytest.mark.parametrize("system, seed", PINNED_STATES)
+def test_pinned_states(system, seed):
+    ms = generate_system(system, GenConfig(n=300, seed=seed))
+    for idx, want in PINNED_STATES[system, seed].items():
+        assert tuple(float(ch.samples[idx]).hex() for ch in ms.channels) == want
 
 
 class TestLorenz:
