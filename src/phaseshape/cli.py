@@ -25,16 +25,10 @@ import numpy as np
 
 from .chaos import chaos_feature_vector
 from .classify import ConfusionMatrix
-from .embedding import EmbeddingParams, estimate_delay
+from .embedding import DelayEstimate, EmbeddingParams, estimate_delay
 from .errors import NumericalError, ValidationError, channel_errors
 from .models import BUNDLED, GenConfig, generate_system
-from .experiments import (
-    LORENZ_LENGTHS,
-    ROSSLER_LENGTHS,
-    classification_experiment,
-    load_dataset,
-    stability_experiment,
-)
+from .experiments import classification_experiment, load_dataset, stability_experiment
 from .series import load_csv, sidecar_dt, write_csv, write_meta
 from .shapes import KINDS, NORMALIZATIONS, ShapeConfig, channel_distributions
 
@@ -66,9 +60,7 @@ def _seed_or_env(flag_value: int | None, fallback: int | None):
     if flag_value is not None:
         return flag_value
     env = _env_seed()
-    if env is not None:
-        return env
-    return fallback
+    return fallback if env is None else env
 
 
 def _int_list(text: str) -> list[int]:
@@ -85,10 +77,9 @@ def _tau_arg(text: str):
     if text == "auto":
         return None
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected 'auto' or an integer, got {text!r}")
-    return value
 
 
 def _ic_arg(text: str) -> tuple[float, ...]:
@@ -106,15 +97,14 @@ def _load_input(path: str, dt_flag: float | None):
     return load_csv(path, dt=dt_flag if dt_flag is not None else sidecar_dt(path))
 
 
-def _channel_delays(series, tau_flag):
+def _channel_delays(series, tau_flag) -> list[DelayEstimate]:
     """Resolve per-channel delays: explicit flag or per-channel estimate."""
     if tau_flag is not None:
-        return [{"tau": int(tau_flag), "method": "flag"} for _ in series.channels]
+        return [DelayEstimate(tau_flag, "flag")] * len(series)
     out = []
     for ci, ch in enumerate(series.channels):
         with channel_errors(ci):
-            est = estimate_delay(ch)
-        out.append({"tau": est.tau, "method": est.method})
+            out.append(estimate_delay(ch))
     return out
 
 
@@ -173,7 +163,7 @@ def cmd_features(args) -> int:
     series = _load_input(args.input, args.dt)
     seed = _seed_or_env(args.seed, 0)
     delays = _channel_delays(series, args.tau)
-    embeds = [EmbeddingParams(m=args.m, tau=dl["tau"]) for dl in delays]
+    embeds = [EmbeddingParams(m=args.m, tau=dl.tau) for dl in delays]
     cfg = ShapeConfig(
         kind=args.kind,
         n_samples=args.samples,
@@ -185,7 +175,7 @@ def cmd_features(args) -> int:
     )
     dists = channel_distributions(series, embeds, cfg)
     channels = [
-        {"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"],
+        {"name": ch.name, "tau": dl.tau, "tau_method": dl.method,
          "m": args.m, "distribution": dist.to_dict()}
         for ch, dl, dist in zip(series.channels, delays, dists)
     ]
@@ -214,7 +204,7 @@ def cmd_chaos(args) -> int:
     channels = []
     vectors = []
     for ci, (ch, dl) in enumerate(zip(series.channels, delays)):
-        params = EmbeddingParams(m=args.m, tau=dl["tau"])
+        params = EmbeddingParams(m=args.m, tau=dl.tau)
         with channel_errors(ci):
             cv = chaos_feature_vector(ch, params)
         if cv.low_r2:
@@ -223,7 +213,7 @@ def cmd_chaos(args) -> int:
                 f"{cv.r2:.4f} is below 0.95; lambda1 may be unreliable",
                 file=sys.stderr,
             )
-        channels.append({"name": ch.name, "tau": dl["tau"], "tau_method": dl["method"],
+        channels.append({"name": ch.name, "tau": dl.tau, "tau_method": dl.method,
                          "m": args.m, **cv.to_dict()})
         vectors.append(cv.vector)
     payload = {
@@ -244,8 +234,7 @@ def cmd_stability(args) -> int:
     seed = _seed_or_env(args.seed, 0)
     report = stability_experiment(
         kind=args.kind,
-        lorenz_lengths=args.lorenz_lengths,
-        rossler_lengths=args.rossler_lengths,
+        **{f"{system}_lengths": getattr(args, f"{system}_lengths") for system in BUNDLED},
         m=args.m,
         bins=args.bins,
         n_samples=args.samples,
@@ -314,12 +303,8 @@ def _write_stability_artifacts(report, out_dir: Path) -> list[Path]:
 
 def cmd_classify(args) -> int:
     seed = _seed_or_env(args.seed, 2024)
-    if args.dataset:
-        instances = load_dataset(args.dataset)
-    else:
-        instances = None
     report = classification_experiment(
-        instances=instances,
+        instances=load_dataset(args.dataset) if args.dataset else None,
         per_class=args.per_class,
         root_seed=seed,
         features=args.features,
@@ -385,10 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stability", help="shape stability across trajectory lengths")
     s.add_argument("--kind", choices=list(KINDS), default="D2")
-    s.add_argument("--lorenz-lengths", type=_int_list, default=list(LORENZ_LENGTHS),
-                   metavar="N1,N2,...")
-    s.add_argument("--rossler-lengths", type=_int_list, default=list(ROSSLER_LENGTHS),
-                   metavar="N1,N2,...")
+    for system, cls in BUNDLED.items():
+        s.add_argument(f"--{system}-lengths", type=_int_list,
+                       default=list(cls.stability_lengths), metavar="N1,N2,...")
     s.add_argument("--m", type=int, default=3)
     s.add_argument("--bins", type=int, default=50)
     s.add_argument("--samples", type=int, default=10000)

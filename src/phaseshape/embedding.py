@@ -134,7 +134,8 @@ class DelayEstimate:
 
     ``method`` is "zero-crossing" when the autocorrelation reached a
     non-positive value, "local-minimum" when the first local minimum was
-    used instead, and "max-lag" when neither occurred within range.
+    used instead, "max-lag" when neither occurred within range, and "flag"
+    when the delay was given rather than estimated (the CLI's ``--tau``).
     """
 
     tau: int

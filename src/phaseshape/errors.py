@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the one integer rule and
-the one real rule.
+"""Exception types shared across the package, and the one integer rule,
+the one real rule and the one sequence rule.
 
 Two failure families are distinguished so that callers (and the CLI exit
 codes) can tell bad input apart from runtime numerical breakdown.
 """
 
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from numbers import Real
 
@@ -13,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "ValidationError", "NumericalError", "channel_errors", "is_int", "check_int", "check_real",
+    "check_sequence",
 ]
 
 
@@ -68,3 +70,13 @@ def check_real(name: str, value, low: float = -math.inf, strict: bool = False) -
         bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
         raise ValidationError(f"{name} must be a finite real{bound}, got {value!r}")
     return v
+
+
+def check_sequence(name: str, value, what: str, size: int | None = None) -> list:
+    """``value`` as a list, for a sequence (an ndarray, not a string) of
+    ``size`` items, or of any length when None; else ValidationError."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    if (isinstance(items, (str, bytes)) or not isinstance(items, Sequence)
+            or size not in (None, len(items))):
+        raise ValidationError(f"{name} must be a sequence of {what}, got {items!r}")
+    return list(items)

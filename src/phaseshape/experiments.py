@@ -20,7 +20,7 @@ import numpy as np
 from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
 from .embedding import EmbeddingParams, estimate_delay
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_sequence
 from .models import BUNDLED, GenConfig, _generate, generate_system
 from .series import MultiSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
@@ -29,8 +29,6 @@ __all__ = [
     "ExperimentReport",
     "Instance",
     "DEFAULT_DELAYS",
-    "LORENZ_LENGTHS",
-    "ROSSLER_LENGTHS",
     "LENGTH_RANGES",
     "SYSTEMS",
     "generate_system",
@@ -43,14 +41,9 @@ __all__ = [
 # In BUNDLED order; a system's index here is its synthetic seed key.
 SYSTEMS = tuple(BUNDLED)
 
-# Embedding delays used for the bundled systems at their default time steps.
-DEFAULT_DELAYS = {"lorenz": 11, "rossler": 8}
-
-# Length ladders for the stability study, and the ranges instance lengths
-# are drawn from in the synthetic classification protocol.
-LORENZ_LENGTHS = (1000, 2000, 3000, 4000, 5000)
-ROSSLER_LENGTHS = (400, 800, 1200, 1600, 2000)
-LENGTH_RANGES = {"lorenz": (1000, 5000), "rossler": (400, 2000)}
+# Exports derived from BUNDLED, for callers that index by system name.
+DEFAULT_DELAYS = {s: cls.default_tau for s, cls in BUNDLED.items()}
+LENGTH_RANGES = {s: cls.length_range for s, cls in BUNDLED.items()}
 
 
 def _jsonable(obj):
@@ -128,8 +121,8 @@ class Instance:
 
 def stability_experiment(
     kind: str = "D2",
-    lorenz_lengths=LORENZ_LENGTHS,
-    rossler_lengths=ROSSLER_LENGTHS,
+    lorenz_lengths=BUNDLED["lorenz"].stability_lengths,
+    rossler_lengths=BUNDLED["rossler"].stability_lengths,
     m: int = 3,
     bins: int = 50,
     n_samples: int = 10000,
@@ -140,41 +133,42 @@ def stability_experiment(
 ) -> ExperimentReport:
     """How shape distributions move with trajectory length.
 
-    One trajectory per system is generated at that system's largest
-    requested length (default initial condition unless gen_seed is given);
-    every requested length is a prefix of it. A system's lengths must be
-    distinct integers >= 2. Each prefix is summarized by
-    the concatenated per-channel shape distribution, and all instances are
-    compared pairwise. The headline metrics are the largest within-system
-    and smallest cross-system distance: a stable descriptor keeps the
-    former below the latter.
+    ``<system>_lengths`` (default: the system's ``stability_lengths``) are
+    distinct integers >= 2 in a list, tuple or ndarray; these two keywords
+    are the one per-system name left outside ``models``. One trajectory per
+    system is generated at its largest requested length (default initial
+    condition unless gen_seed is given); each length is a prefix of it,
+    embedded at the system's ``default_tau`` and summarized by the
+    concatenated per-channel shape distribution. All instances are compared
+    pairwise. The headline metrics are the largest within-system and
+    smallest cross-system distance: a stable descriptor keeps the former
+    below the latter.
     """
     _metric_name(metric)
     m = check_int("m", m, 1)
     base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
     seed = check_int("seed", seed, 0)
-    lor = sorted(check_int("lorenz lengths", n, 2) for n in lorenz_lengths)
-    ros = sorted(check_int("rossler lengths", n, 2) for n in rossler_lengths)
-    plan = [("lorenz", lor), ("rossler", ros)]
-    for system, lens in plan:
+    requested = {"lorenz": lorenz_lengths, "rossler": rossler_lengths}
+    plan = {}
+    for system in BUNDLED:
+        lens = check_sequence(f"{system}_lengths", requested[system], "integers >= 2")
+        plan[system] = sorted(check_int(f"{system} lengths", n, 2) for n in lens)
+    tasks = []
+    for system, lens in plan.items():
         if len(set(lens)) < len(lens):
             raise ValidationError(f"{system} lengths must be distinct, got {lens}")
-    tasks = []
-    for system, lens in plan:
         for n in lens:
             tasks.append((len(tasks), system, n))
     if not tasks:
         raise ValidationError("no lengths requested")
 
-    trajectories = {}
-    for system, lens in plan:
-        if lens:
-            trajectories[system] = generate_system(system, GenConfig(n=lens[-1], seed=gen_seed))
+    trajectories = {s: generate_system(s, GenConfig(n=lens[-1], seed=gen_seed))
+                    for s, lens in plan.items() if lens}
 
     def one(task):
         idx, system, n = task
         series = trajectories[system].prefix(n)
-        params = EmbeddingParams(m=m, tau=DEFAULT_DELAYS[system])
+        params = EmbeddingParams(m=m, tau=BUNDLED[system].default_tau)
         cfg = replace(base, seed=_derived_seed(seed, idx))
         return channel_distributions(series, [params] * len(series), cfg)
 
@@ -198,10 +192,9 @@ def stability_experiment(
         name="stability",
         config={
             "kind": kind,
-            "lorenz_lengths": lor,
-            "rossler_lengths": ros,
+            **{f"{s}_lengths": lens for s, lens in plan.items()},
             "m": m,
-            "delays": {s: DEFAULT_DELAYS[s] for s, lens in plan if lens},
+            "delays": {s: BUNDLED[s].default_tau for s, lens in plan.items() if lens},
             "bins": bins,
             "n_samples": n_samples,
             "seed": seed,
@@ -243,7 +236,7 @@ def synthetic_instances(
     instances = []
     for class_idx, system in enumerate(SYSTEMS):
         low, high = BUNDLED[system].ic_box
-        lo, hi = LENGTH_RANGES[system]
+        lo, hi = BUNDLED[system].length_range
         configs = []
         for k in range(per_class):
             rng = np.random.default_rng(np.random.SeedSequence([root_seed, class_idx, k]))
@@ -267,8 +260,8 @@ def _resolve_delay(series: MultiSeries, delays) -> int:
         raise ValidationError(f"no delay given for label {series.label!r}")
     if delays is not None:
         raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
-    if series.label in DEFAULT_DELAYS:
-        return DEFAULT_DELAYS[series.label]
+    if series.label in BUNDLED:
+        return BUNDLED[series.label].default_tau
     return estimate_delay(series.channels[0]).tau
 
 

@@ -18,6 +18,7 @@ from phaseshape import (
 )
 from phaseshape import cli
 from phaseshape.cli import main
+from phaseshape.models import BUNDLED
 
 
 @pytest.fixture()
@@ -279,6 +280,16 @@ class TestStability:
 
     def test_bad_lengths_list(self):
         assert main(["stability", "--lorenz-lengths", "5x0"]) == 1
+
+    def test_one_lengths_flag_per_bundled_system(self, monkeypatch):
+        monkeypatch.setattr(LorenzParams, "stability_lengths", (700, 900))
+        sub = cli.build_parser()._subparsers._group_actions[0].choices["stability"]
+        flags = [o for a in sub._actions for o in a.option_strings if o.endswith("-lengths")]
+        assert flags == [f"--{s}-lengths" for s in BUNDLED]
+        args = sub.parse_args([])
+        for s, cls in BUNDLED.items():
+            assert getattr(args, f"{s}_lengths") == list(cls.stability_lengths)
+        assert args.lorenz_lengths == [700, 900]
 
 
 class TestClassify:

@@ -33,6 +33,7 @@ from phaseshape import (
 from phaseshape.chaos import _admissible_pairs
 from phaseshape.errors import check_int, check_real
 from phaseshape.series import sidecar_dt
+from phaseshape import experiments
 from phaseshape.experiments import _map
 
 
@@ -212,3 +213,45 @@ def test_check_real():
         check_real("x", 10**400)
     with pytest.raises(ValidationError, match=r"^x must be a finite real, got None$"):
         check_real("x", None)
+
+
+# (name, what, call, good): call(value) runs a site that takes a sequence
+# of ``what``; ``good`` is a value it accepts and returns.
+SEQUENCE_SITES = [
+    ("ic", "3 finite reals", lambda v: GenConfig(n=10, ic=v).ic, (1.0, 2.0, 3.0)),
+    (
+        "lorenz_lengths",
+        "integers >= 2",
+        lambda v: stability_experiment(
+            lorenz_lengths=v, rossler_lengths=(300,), n_samples=200
+        ).config["lorenz_lengths"],
+        (300, 400),
+    ),
+    (
+        "rossler_lengths",
+        "integers >= 2",
+        lambda v: stability_experiment(
+            lorenz_lengths=(300,), rossler_lengths=v, n_samples=200
+        ).config["rossler_lengths"],
+        (300, 400),
+    ),
+]
+SEQUENCE_IDS = [site[0] for site in SEQUENCE_SITES]
+
+
+@pytest.mark.parametrize("name, what, call, good", SEQUENCE_SITES, ids=SEQUENCE_IDS)
+@pytest.mark.parametrize("value", [5, None, 1000.0, "300", b"300", np.int64(300)],
+                         ids=["int", "none", "float", "str", "bytes", "np-int64"])
+def test_sequence_rejected(name, what, call, good, value, monkeypatch):
+    def no_generation(*args, **kwargs):
+        raise AssertionError("generated before the lengths were checked")
+
+    monkeypatch.setattr(experiments, "generate_system", no_generation)
+    with pytest.raises(ValidationError, match=rf"^{name} must be a sequence of {what}, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("name, what, call, good", SEQUENCE_SITES, ids=SEQUENCE_IDS)
+@pytest.mark.parametrize("convert", [list, tuple, np.array], ids=["list", "tuple", "ndarray"])
+def test_sequence_accepted(name, what, call, good, convert):
+    assert list(call(convert(good))) == list(good)

@@ -7,6 +7,7 @@ from phaseshape import (
     DEFAULT_DELAYS,
     GenConfig,
     Instance,
+    LorenzParams,
     MultiSeries,
     TimeSeries,
     ValidationError,
@@ -229,6 +230,32 @@ class TestSyntheticInstances:
     def test_per_class_validation(self):
         with pytest.raises(ValidationError):
             synthetic_instances(per_class=0)
+
+
+class TestOneSourcePerSystem:
+    """Each per-system fact is read from its params class in BUNDLED."""
+
+    def test_default_tau(self, monkeypatch):
+        monkeypatch.setattr(LorenzParams, "default_tau", 7)
+        rep = stability_experiment(lorenz_lengths=[300], rossler_lengths=[300], n_samples=200)
+        assert rep.config["delays"] == {"lorenz": 7, "rossler": 8}
+        instances = [
+            Instance(s, generate_system(s, GenConfig(n=300)).with_label(s))
+            for s in ("lorenz", "rossler")
+        ]
+        rep = classification_experiment(instances, n_samples=200)
+        taus = {inst["label"]: inst["tau"] for inst in rep.artifacts["instances"]}
+        assert taus == {"lorenz": 7, "rossler": 8}
+
+    def test_length_range(self, monkeypatch):
+        monkeypatch.setattr(LorenzParams, "length_range", (600, 600))
+        lorenz = [i for i in synthetic_instances(per_class=3) if i.label == "lorenz"]
+        assert [i.series.n for i in lorenz] == [600, 600, 600]
+
+    def test_derived_exports(self):
+        assert DEFAULT_DELAYS == {s: cls.default_tau for s, cls in BUNDLED.items()}
+        assert experiments.LENGTH_RANGES == {s: cls.length_range for s, cls in BUNDLED.items()}
+        assert DEFAULT_DELAYS == {"lorenz": 11, "rossler": 8}
 
 
 class TestClassification:

@@ -18,14 +18,17 @@ mkdir -p "$1"
 cd "$1"
 
 # run NAME ARGS...: phaseshape ARGS with stdout, stderr and exit code in NAME.*
+# COLUMNS pins the width argparse wraps --help to.
 run() {
     local name=$1
     shift
     local rc=0
-    PYTHONPATH="$src" python3 -m phaseshape.cli "$@" >"$name.out" 2>"$name.err" || rc=$?
+    COLUMNS=80 PYTHONPATH="$src" python3 -m phaseshape.cli "$@" >"$name.out" 2>"$name.err" || rc=$?
     echo "$rc" >"$name.rc"
 }
 
+run help-gen-model gen-model --help
+run help-stability stability --help
 run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
 run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
 run features-d2 features lorenz.csv --kind D2 --tau 11
