@@ -169,7 +169,8 @@ def _distance_blocks(pts: np.ndarray):
     diagonal included, which holds every pair once. This is the dense pass
     behind the diameter and the pair counts of C(r).
     Every block is computed in one buffer, so a consumer must be done with
-    a block before it asks for the next."""
+    a block before it asks for the next; it may overwrite the block it
+    holds."""
     x = np.ascontiguousarray(pts.T)
     m, p = x.shape
     # A block holds at most BLOCK_BYTES unless it is one row, and never
@@ -353,7 +354,9 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
 
     A radius at least the diameter (the largest _pair_distances value, when
     the caller has it) holds every pair. The radii below it are counted in
-    one dense pass over _distance_blocks, less the pairs 0 < j - i <= theiler.
+    one dense pass over _distance_blocks: in each block the distances of the
+    pairs j - i <= theiler, which include the diagonal and the pairs below
+    it, are set to inf, and the rest are counted.
     """
     total = _admissible_pairs(len(pts), theiler)
     radii = np.asarray(radii, dtype=float)
@@ -366,18 +369,13 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     r = radii[todo]
     counts[todo] = 0
     for _, d in _distance_blocks(pts):
-        # The first `rows` columns are a symmetric square with a zero
-        # diagonal: its count is 2 * (its pairs j > i) + rows, so
-        # (count + rows) // 2 of the block's count are pairs j <= i.
+        # Row k, column c of a block from row s is the pair (s + k, s + c),
+        # admissible when c - k > theiler: the others lie in the first w columns.
         rows = d.shape[0]
+        w = min(rows + theiler, d.shape[1])
+        d[:, :w][np.arange(w) <= np.arange(rows)[:, None] + theiler] = np.inf
         for k, rk in zip(todo, r):
-            square = np.count_nonzero(d[:, :rows] <= rk)
-            counts[k] += np.count_nonzero(d <= rk) - (square + rows) // 2
-    # Each banded lag's distances <= r, by binary search in their sorted copy.
-    x = np.ascontiguousarray(pts.T)
-    for lag in range(1, theiler + 1):
-        d = np.sort(_pair_distances(x[:, lag:], x[:, :-lag]))
-        counts[todo] -= np.searchsorted(d, r, side="right")
+            counts[k] += np.count_nonzero(d <= rk)
     return counts / total
 
 

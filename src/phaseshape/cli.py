@@ -73,6 +73,12 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _path_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _tau_arg(text: str):
     if text == "auto":
         return None
@@ -111,7 +117,7 @@ def _channel_delays(series, tau_flag) -> list[DelayEstimate]:
 def _emit(payload, out) -> None:
     """Write the payload as JSON to ``out``, or print it when no path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if not out:
+    if out is None:
         print(text)
         return
     try:
@@ -138,7 +144,7 @@ def cmd_gen_model(args) -> int:
             raise ValidationError(f"{flags} apply to {other}, not {args.system}")
     series = generate_system(args.system, config, params)
 
-    out = Path(args.out) if args.out else Path(f"{args.system}.csv")
+    out = Path(args.out) if args.out is not None else Path(f"{args.system}.csv")
     write_csv(series, out)
     write_meta(
         out,
@@ -248,7 +254,7 @@ def cmd_stability(args) -> int:
         f"stability: max_within={_fmt(metrics['max_within'])} "
         f"min_cross={_fmt(metrics['min_cross'])} separated={metrics['separated']}"
     )
-    if args.out_dir:
+    if args.out_dir is not None:
         out_dir = Path(args.out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -304,7 +310,7 @@ def _write_stability_artifacts(report, out_dir: Path) -> list[Path]:
 def cmd_classify(args) -> int:
     seed = _seed_or_env(args.seed, 2024)
     report = classification_experiment(
-        instances=load_dataset(args.dataset) if args.dataset else None,
+        instances=load_dataset(args.dataset) if args.dataset is not None else None,
         per_class=args.per_class,
         root_seed=seed,
         features=args.features,
@@ -318,7 +324,7 @@ def cmd_classify(args) -> int:
     )
     conf = report.artifacts["confusion"]
     print(ConfusionMatrix(conf["labels"], conf["counts"]).to_text())
-    if args.out:
+    if args.out is not None:
         _emit(report.to_dict(), args.out)
     return 0
 
@@ -341,11 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     for system, cls in BUNDLED.items():
         for f in fields(cls):
             g.add_argument(f"--{f.name}", type=float, default=None, help=f"{system} {f.name}")
-    g.add_argument("--out", default=None, help="output CSV path (default <system>.csv)")
+    g.add_argument("--out", type=_path_arg, default=None,
+                   help="output CSV path (default <system>.csv)")
     g.set_defaults(func=cmd_gen_model)
 
     f = sub.add_parser("features", help="shape-distribution features of a CSV")
-    f.add_argument("input")
+    f.add_argument("input", type=_path_arg)
     f.add_argument("--kind", choices=list(KINDS), default="D2")
     f.add_argument("--m", type=int, default=3)
     f.add_argument("--tau", type=_tau_arg, default=None, metavar="auto|INT",
@@ -357,15 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=int, default=None)
     f.add_argument("--normalization", choices=list(NORMALIZATIONS), default="mean-normalized")
     f.add_argument("--dt", type=float, default=None, help="sample period (else sidecar, else 1)")
-    f.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    f.add_argument("--out", type=_path_arg, default=None, help="output JSON path (default stdout)")
     f.set_defaults(func=cmd_features)
 
     c = sub.add_parser("chaos", help="10-number chaos feature vector of a CSV")
-    c.add_argument("input")
+    c.add_argument("input", type=_path_arg)
     c.add_argument("--m", type=int, default=3)
-    c.add_argument("--tau", type=_tau_arg, default=None, metavar="auto|INT")
+    c.add_argument("--tau", type=_tau_arg, default=None, metavar="auto|INT",
+                   help="embedding delay; default estimates per channel")
     c.add_argument("--dt", type=float, default=None, help="sample period (else sidecar, else 1)")
-    c.add_argument("--out", default=None, help="output JSON path (default stdout)")
+    c.add_argument("--out", type=_path_arg, default=None, help="output JSON path (default stdout)")
     c.set_defaults(func=cmd_chaos)
 
     s = sub.add_parser("stability", help="shape stability across trajectory lengths")
@@ -381,13 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="draw initial conditions instead of the defaults")
     s.add_argument("--metric", choices=["chi2", "l2"], default="chi2")
     s.add_argument("--jobs", type=int, default=1)
-    s.add_argument("--out-dir", default=None,
+    s.add_argument("--out-dir", type=_path_arg, default=None,
                    help="write report.json, distances.csv, per-length histograms")
     s.set_defaults(func=cmd_stability)
 
     k = sub.add_parser("classify", help="leave-one-out 1-NN over labeled trajectories")
     src = k.add_mutually_exclusive_group(required=True)
-    src.add_argument("--dataset", default=None, help="directory of <label>/<instance>.csv")
+    src.add_argument("--dataset", type=_path_arg, default=None,
+                     help="directory of <label>/<instance>.csv")
     src.add_argument("--synthetic", choices=["lorenz-rossler"], default=None)
     k.add_argument("--per-class", type=int, default=20)
     k.add_argument("--features", choices=["shape", "chaos"], default="shape")
@@ -398,10 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--bins", type=int, default=50)
     k.add_argument("--samples", type=int, default=10000)
     k.add_argument("--tau", type=_tau_arg, default=None, metavar="auto|INT",
-                   help="embedding delay; default: per-label table or estimate")
+                   help="embedding delay; auto (default) is each bundled label's own ("
+                   + ", ".join(f"{name} {cls.default_tau}" for name, cls in BUNDLED.items())
+                   + ") and, for any other label, channel 0's estimate for every channel")
     k.add_argument("--seed", type=int, default=None, help="root seed (default 2024)")
     k.add_argument("--jobs", type=int, default=1)
-    k.add_argument("--out", default=None, help="write the full report JSON here")
+    k.add_argument("--out", type=_path_arg, default=None, help="write the full report JSON here")
     k.set_defaults(func=cmd_classify)
 
     return parser

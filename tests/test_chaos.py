@@ -535,6 +535,16 @@ class TestDistanceBlocksOracle:
         rnd.shuffle(radii)
         _check_fractions(pts, np.array(radii), theiler)
 
+    @pytest.mark.parametrize("theiler", [6, 8, 9, 10])
+    def test_pair_fractions_wide_window(self, theiler):
+        # Windows the draws above do not reach on a 12-point cloud: 6 is
+        # wider than a 3-row block, so the band runs past the block's rows;
+        # P - 4 leaves six admissible pairs, P - 3 leaves three (lags P - 2
+        # and P - 1), and P - 2 leaves one, which is rejected.
+        pts = np.round(np.random.default_rng(11).normal(size=(12, 2)), 1)
+        radii = [0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)]
+        _check_fractions(pts, np.array(radii), theiler)
+
     def test_pair_fractions_one_dense_pass(self, monkeypatch):
         # One dense pass per call when a radius lies below the diameter,
         # none when every radius is at least the diameter.

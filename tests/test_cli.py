@@ -369,6 +369,32 @@ class TestNegativeSeed:
         assert err == f"error: {field} must be an integer >= 0, got -1\n"
 
 
+class TestEmptyPath:
+    # An empty path is a usage error, not a missing flag: nothing runs and
+    # nothing is written or printed to stdout.
+    @pytest.mark.parametrize("argv", [
+        ["gen-model", "lorenz", "--n", "50", "--out", ""],
+        ["features", "{csv}", "--tau", "8", "--out", ""],
+        ["chaos", "{csv}", "--tau", "8", "--out", ""],
+        ["stability", "--lorenz-lengths", "300", "--rossler-lengths", "300",
+         "--samples", "200", "--out-dir", ""],
+        ["classify", "--synthetic", "lorenz-rossler", "--per-class", "2", "--out", ""],
+        ["classify", "--dataset", "", "--per-class", "2"],
+        ["features", "", "--tau", "8"],
+        ["chaos", "", "--tau", "8"],
+    ], ids=["gen-model-out", "features-out", "chaos-out", "stability-out-dir",
+            "classify-out", "classify-dataset", "features-input", "chaos-input"])
+    def test_usage_error(self, rossler_csv, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([a.format(csv=rossler_csv) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "expected a path, got ''" in err
+        assert sorted(tmp_path.iterdir()) == before
+
+
 def test_out_of_memory_exits_two(rossler_csv, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 114. MiB for an array")

@@ -29,6 +29,9 @@ run() {
 
 run help-gen-model gen-model --help
 run help-stability stability --help
+run help-features features --help
+run help-chaos chaos --help
+run help-classify classify --help
 run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
 run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
 run features-d2 features lorenz.csv --kind D2 --tau 11
