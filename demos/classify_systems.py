@@ -33,7 +33,8 @@ def main():
 
     # Both reach perfect accuracy on clean simulated data this separable;
     # the interesting comparisons start when lengths shrink or noise is
-    # added, where the histogram features degrade far more gracefully.
+    # added. How each feature set degrades there is not yet measured by
+    # this repository: a harder synthetic protocol is ROADMAP item 7.
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError, check_int, check_real, is_int
+from .errors import NumericalError, ValidationError, check_int, check_real, check_sequence
 from .series import TimeSeries
 
 __all__ = [
@@ -94,15 +94,13 @@ class LLEConfig:
         object.__setattr__(self, "theiler", check_int("theiler", self.theiler, 0))
         object.__setattr__(self, "k_max", check_int("k_max", self.k_max, 3))
         if self.fit_range is not None:
-            try:
-                lo, hi = self.fit_range
-            except (TypeError, ValueError):
-                lo = hi = None
-            if not (is_int(lo) and is_int(hi) and 0 <= lo < hi < self.k_max):
+            ends = check_sequence("fit_range", self.fit_range, "two integers", size=2)
+            lo, hi = (check_int(f"fit_range[{i}]", v, 0) for i, v in enumerate(ends))
+            if not lo < hi < self.k_max:
                 raise ValidationError(
-                    f"fit_range must be integers 0 <= lo < hi < k_max, got {self.fit_range!r}"
+                    f"fit_range must satisfy lo < hi < k_max={self.k_max}, got {self.fit_range!r}"
                 )
-            object.__setattr__(self, "fit_range", (int(lo), int(hi)))
+            object.__setattr__(self, "fit_range", (lo, hi))
 
 
 def _mean_period(x) -> float | None:

@@ -25,10 +25,12 @@ import numpy as np
 
 from .chaos import chaos_feature_vector
 from .classify import ConfusionMatrix
-from .embedding import DelayEstimate, EmbeddingParams, estimate_delay
+from .embedding import DelayEstimate, EmbeddingParams
 from .errors import NumericalError, ValidationError, channel_errors
 from .models import BUNDLED, GenConfig, generate_system
-from .experiments import classification_experiment, load_dataset, stability_experiment
+from .experiments import (
+    _resolve_delay, classification_experiment, load_dataset, stability_experiment,
+)
 from .series import load_csv, sidecar_dt, write_csv, write_meta
 from .shapes import KINDS, NORMALIZATIONS, ShapeConfig, channel_distributions
 
@@ -104,13 +106,11 @@ def _load_input(path: str, dt_flag: float | None):
 
 
 def _channel_delays(series, tau_flag) -> list[DelayEstimate]:
-    """Resolve per-channel delays: explicit flag or per-channel estimate."""
-    if tau_flag is not None:
-        return [DelayEstimate(tau_flag, "flag")] * len(series)
+    """Each channel's delay by the one delay rule (``--tau``, else the estimate)."""
     out = []
     for ci, ch in enumerate(series.channels):
-        with channel_errors(ci):
-            out.append(estimate_delay(ch))
+        with channel_errors(f"channel {ci}"):
+            out.append(_resolve_delay(ch, series.label, tau_flag))
     return out
 
 
@@ -211,7 +211,7 @@ def cmd_chaos(args) -> int:
     vectors = []
     for ci, (ch, dl) in enumerate(zip(series.channels, delays)):
         params = EmbeddingParams(m=args.m, tau=dl.tau)
-        with channel_errors(ci):
+        with channel_errors(f"channel {ci}"):
             cv = chaos_feature_vector(ch, params)
         if cv.low_r2:
             print(

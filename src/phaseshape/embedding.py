@@ -134,8 +134,10 @@ class DelayEstimate:
 
     ``method`` is "zero-crossing" when the autocorrelation reached a
     non-positive value, "local-minimum" when the first local minimum was
-    used instead, "max-lag" when neither occurred within range, and "flag"
-    when the delay was given rather than estimated (the CLI's ``--tau``).
+    used instead, and "max-lag" when neither occurred within range. A delay
+    given as an int (the CLI's ``--tau``) is "flag", a per-label table entry
+    "table", and a bundled system's ``default_tau`` "default"; the one rule
+    that picks among them is ``experiments._resolve_delay``.
     """
 
     tau: int

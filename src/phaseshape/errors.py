@@ -29,12 +29,13 @@ class NumericalError(RuntimeError):
 
 
 @contextmanager
-def channel_errors(ci: int):
-    """Re-raise a package error as the same type, prefixed ``channel {ci}: ``."""
+def channel_errors(prefix: str):
+    """Re-raise a package error as the same type, prefixed ``{prefix}: ``,
+    e.g. ``channel 0`` or ``instance 'a/i1'``; nested uses stack."""
     try:
         yield
     except (ValidationError, NumericalError) as e:
-        raise type(e)(f"channel {ci}: {e}") from e
+        raise type(e)(f"{prefix}: {e}") from e
 
 
 def is_int(value) -> bool:

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
-from .embedding import EmbeddingParams, estimate_delay
-from .errors import ValidationError, check_int, check_sequence
+from .embedding import DelayEstimate, EmbeddingParams, estimate_delay
+from .errors import ValidationError, channel_errors, check_int, check_sequence
 from .models import BUNDLED, GenConfig, _generate, generate_system
-from .series import MultiSeries, load_csv, sidecar_dt
+from .series import MultiSeries, TimeSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
 
 __all__ = [
@@ -46,21 +46,11 @@ DEFAULT_DELAYS = {s: cls.default_tau for s, cls in BUNDLED.items()}
 LENGTH_RANGES = {s: cls.length_range for s, cls in BUNDLED.items()}
 
 
-def _jsonable(obj):
-    """Recursively rewrite an object into plain JSON types."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+def _numpy_default(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as lists and scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -78,16 +68,11 @@ class ExperimentReport:
     artifacts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": _jsonable(self.config),
-            "metrics": _jsonable(self.metrics),
-            "artifacts": _jsonable(self.artifacts),
-        }
+        return json.loads(self.to_json(indent=None))
 
     def to_json(self, indent: int | None = 2) -> str:
         """Stable-key-order JSON rendering of the report."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(vars(self), indent=indent, sort_keys=True, default=_numpy_default)
 
 
 def _map(fn, tasks, jobs: int):
@@ -164,11 +149,12 @@ def stability_experiment(
 
     trajectories = {s: generate_system(s, GenConfig(n=lens[-1], seed=gen_seed))
                     for s, lens in plan.items() if lens}
+    delays = {s: _resolve_delay(t.channels[0], s, None).tau for s, t in trajectories.items()}
 
     def one(task):
         idx, system, n = task
         series = trajectories[system].prefix(n)
-        params = EmbeddingParams(m=m, tau=BUNDLED[system].default_tau)
+        params = EmbeddingParams(m=m, tau=delays[system])
         cfg = replace(base, seed=_derived_seed(seed, idx))
         return channel_distributions(series, [params] * len(series), cfg)
 
@@ -194,7 +180,7 @@ def stability_experiment(
             "kind": kind,
             **{f"{s}_lengths": lens for s, lens in plan.items()},
             "m": m,
-            "delays": {s: BUNDLED[s].default_tau for s, lens in plan.items() if lens},
+            "delays": delays,
             "bins": bins,
             "n_samples": n_samples,
             "seed": seed,
@@ -248,21 +234,22 @@ def synthetic_instances(
     return instances
 
 
-def _resolve_delay(series: MultiSeries, delays) -> int:
-    """Per-instance embedding delay: explicit int, per-label table, the
-    system default for the bundled labels, or estimated from channel 0.
-    A given delay is checked where it builds the EmbeddingParams."""
+def _resolve_delay(channel: TimeSeries, label, delays) -> DelayEstimate:
+    """The package's one delay rule: an int is the delay ("flag"), a dict
+    gives the label's entry ("table"), and None gives a bundled label's
+    ``default_tau`` ("default"), else the channel's own estimate. A given
+    delay is checked where it builds the EmbeddingParams."""
     if isinstance(delays, (int, np.integer)):
-        return delays
+        return DelayEstimate(delays, "flag")
     if isinstance(delays, dict):
-        if series.label in delays:
-            return delays[series.label]
-        raise ValidationError(f"no delay given for label {series.label!r}")
+        if label in delays:
+            return DelayEstimate(delays[label], "table")
+        raise ValidationError(f"no delay given for label {label!r}")
     if delays is not None:
         raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
-    if series.label in BUNDLED:
-        return BUNDLED[series.label].default_tau
-    return estimate_delay(series.channels[0]).tau
+    if label in BUNDLED:
+        return DelayEstimate(BUNDLED[label].default_tau, "default")
+    return estimate_delay(channel)
 
 
 def classification_experiment(
@@ -308,12 +295,21 @@ def classification_experiment(
 
     def one(task):
         q, inst = task
-        params = EmbeddingParams(m=m, tau=_resolve_delay(inst.series, delays))
-        if features == "shape":
-            cfg = replace(base, seed=_derived_seed(root_seed, 2, q))
-            vec = feature_vector(inst.series, params, cfg)
-        else:
-            vec = chaos_feature_vector(inst.series.channels[0], params).vector
+        ch0, named = inst.series.channels[0], f"instance {inst.id!r}"
+        # Channel 0's delay embeds every channel: the one per-command
+        # delay policy left (ROADMAP item 4 gives each channel its own). A
+        # bad given delay is a setting error, so EmbeddingParams names no
+        # instance.
+        with channel_errors(named), channel_errors("channel 0"):
+            tau = _resolve_delay(ch0, inst.series.label, delays).tau
+        params = EmbeddingParams(m=m, tau=tau)
+        with channel_errors(named):
+            if features == "shape":
+                cfg = replace(base, seed=_derived_seed(root_seed, 2, q))
+                vec = feature_vector(inst.series, params, cfg)
+            else:
+                with channel_errors("channel 0"):
+                    vec = chaos_feature_vector(ch0, params).vector
         return LabeledFeature(id=inst.id, label=inst.label, vector=vec), params.tau
 
     results = _map(one, list(enumerate(instances)), jobs)

@@ -230,6 +230,8 @@ def write_csv(series: MultiSeries, path) -> None:
 def meta_path(csv_path) -> Path:
     """Sidecar metadata path for a CSV file: ``<stem>.meta.json``."""
     p = Path(csv_path)
+    if not p.name:
+        raise ValidationError(f"no such file: {p}")
     return p.with_name(p.stem + ".meta.json")
 
 

@@ -310,7 +310,7 @@ def channel_distributions(
         raise ValidationError(f"need one embedding per channel, got {len(embeds)}")
     out = []
     for ci, (ch, embed) in enumerate(zip(series.channels, embeds)):
-        with channel_errors(ci):
+        with channel_errors(f"channel {ci}"):
             out.append(shape_distribution(delay_embed(ch, embed), config))
     return out
 

@@ -54,6 +54,13 @@ class TestLLEConfig:
         with pytest.raises(ValidationError, match="fit_range"):
             LLEConfig(theiler=0, k_max=10, fit_range=fit_range)
 
+    @pytest.mark.parametrize(
+        "fit_range, entry", [((0, 4.5), r"fit_range\[1\]"), (("0", 4), r"fit_range\[0\]")]
+    )
+    def test_bad_entry_named(self, fit_range, entry):
+        with pytest.raises(ValidationError, match=entry + " must be an integer >= 0"):
+            LLEConfig(theiler=0, k_max=10, fit_range=fit_range)
+
     @pytest.mark.parametrize("field", ["theiler", "k_max"])
     def test_boolean_counts_rejected(self, field):
         kwargs = {"theiler": 1, "k_max": 10, field: True}

@@ -160,6 +160,14 @@ class TestFeatures:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv", [["features", "."], ["chaos", "/"], ["chaos", ".", "--tau", "5"]]
+    )
+    def test_path_with_no_file_name(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no such file: {argv[1]}\n"
+
+    @pytest.mark.parametrize(
         "payload",
         ['{"dt": "abc"}', '{"dt": null}', "[1, 2]", '{"dt": 0}', '{"dt": -1}', '{"dt": true}'],
     )
@@ -330,6 +338,19 @@ class TestClassify:
                    "--samples", "400", "--m", "2"])
         assert rc == 0
         assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("features", ["shape", "chaos"])
+    def test_failing_instance_named(self, tmp_path, capsys, features):
+        for label, n in (("a", 300), ("b", 12)):
+            d = tmp_path / "bad" / label
+            d.mkdir(parents=True)
+            _sine_csv(d / "i1.csv", n=n)
+        rc = main(["classify", "--dataset", str(tmp_path / "bad"), "--tau", "11",
+                   "--features", features])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: instance 'b/i1': channel 0: series of length 12 too short for m=3, tau=11\n"
+        )
 
     def test_single_label_dataset(self, tmp_path, capsys):
         d = tmp_path / "data" / "only"

@@ -22,6 +22,7 @@ from phaseshape import (
     write_meta,
 )
 from phaseshape import experiments
+from phaseshape.embedding import DelayEstimate, estimate_delay
 from phaseshape.models import BUNDLED
 
 
@@ -166,6 +167,43 @@ class TestStability:
         payload = json.loads(small_report.to_json())
         assert payload["name"] == "stability"
         assert set(payload) == {"name", "config", "metrics", "artifacts"}
+        assert small_report.to_dict() == payload
+
+
+class TestReportJson:
+    def test_numpy_values_serialize(self):
+        rep = experiments.ExperimentReport(
+            name="t",
+            config={"delays": {"a": np.int64(11), "b": np.int64(8)}, "pair": (np.float64(0.5), 2)},
+            metrics={"ok": np.bool_(True), "x": np.float32(0.25)},
+            artifacts={"m": np.arange(4).reshape(2, 2)},
+        )
+        assert rep.to_dict() == {
+            "name": "t",
+            "config": {"delays": {"a": 11, "b": 8}, "pair": [0.5, 2]},
+            "metrics": {"ok": True, "x": 0.25},
+            "artifacts": {"m": [[0, 1], [2, 3]]},
+        }
+        assert json.loads(rep.to_json()) == rep.to_dict()
+
+
+class TestResolveDelay:
+    """The one delay rule behind the CLI's --tau and the experiments' delays."""
+
+    def test_given_delay(self):
+        ch = _sine_instance("s", "slow", 40).series.channels[0]
+        assert experiments._resolve_delay(ch, "slow", 5) == DelayEstimate(5, "flag")
+        assert experiments._resolve_delay(ch, None, np.int64(5)) == DelayEstimate(5, "flag")
+        assert experiments._resolve_delay(ch, "slow", {"slow": 9}) == DelayEstimate(9, "table")
+
+    def test_bundled_default_else_estimate(self):
+        ch = _sine_instance("s", "slow", 40).series.channels[0]
+        for system, cls in BUNDLED.items():
+            assert experiments._resolve_delay(ch, system, None) == DelayEstimate(
+                cls.default_tau, "default"
+            )
+        for label in ("slow", None):
+            assert experiments._resolve_delay(ch, label, None) == estimate_delay(ch)
 
 
 class TestSyntheticInstances:
@@ -345,6 +383,24 @@ class TestClassification:
         ]
         with pytest.raises(ValidationError, match="delays"):
             classification_experiment(instances=insts, n_samples=200, m=2, delays=2.5)
+
+    @pytest.mark.parametrize("features", ["shape", "chaos"])
+    def test_failing_instance_named(self, features):
+        insts = [
+            _sine_instance("slow-0", "slow", 40),
+            Instance("fast-0", MultiSeries((TimeSeries(np.sin(np.arange(12.0))),), label="fast")),
+        ]
+        with pytest.raises(
+            ValidationError,
+            match=r"^instance 'fast-0': channel 0: series of length 12 too short for m=3, tau=11$",
+        ):
+            classification_experiment(instances=insts, features=features, delays=11)
+
+    def test_failing_delay_estimate_named(self):
+        flat = MultiSeries((TimeSeries(np.full(50, 2.0)),), label="flat")
+        insts = [_sine_instance("slow-0", "slow", 40), Instance("flat-0", flat)]
+        with pytest.raises(ValidationError, match=r"^instance 'flat-0': channel 0: zero-variance"):
+            classification_experiment(instances=insts, n_samples=200)
 
     def test_bad_features(self):
         with pytest.raises(ValidationError, match="features"):

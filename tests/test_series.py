@@ -227,6 +227,13 @@ class TestMetaSidecar:
         meta = read_meta(csv)
         assert meta == {"dt": 0.01, "system": "lorenz"}
 
+    @pytest.mark.parametrize("path", [".", "/", ""])
+    def test_path_with_no_file_name(self, path):
+        with pytest.raises(ValidationError, match="no such file"):
+            meta_path(path)
+        with pytest.raises(ValidationError, match="no such file"):
+            sidecar_dt(path)
+
     def test_missing_sidecar_is_none(self, tmp_path):
         assert read_meta(tmp_path / "no.csv") is None
 

@@ -42,3 +42,9 @@ run stability stability --lorenz-lengths 1000,3000,5000 --rossler-lengths 400,12
 run stability-dir stability --out-dir stability
 run classify-shape classify --synthetic lorenz-rossler --per-class 10 --jobs 2 --out classify_shape.json
 run classify-chaos classify --synthetic lorenz-rossler --per-class 10 --features chaos --jobs 2 --out classify_chaos.json
+run features-no-name features .
+mkdir -p bad/a bad/b
+run gen-bad-long gen-model lorenz --n 300 --out bad/a/long.csv
+run gen-bad-short gen-model rossler --n 12 --out bad/b/short.csv
+run classify-bad classify --dataset bad --tau 11
+run classify-bad-chaos classify --dataset bad --tau 11 --features chaos
