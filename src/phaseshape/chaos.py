@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
 from .errors import NumericalError, ValidationError, check_int, check_real, check_sequence
@@ -194,6 +193,8 @@ def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
     candidates within that margin are re-measured with _pair_distances,
     which picks the neighbor.
     """
+    from scipy.spatial import cKDTree
+
     p = len(pts)
     # The middle point is the last with a neighbor beyond the window.
     if p <= 2 * theiler + 1:
@@ -299,12 +300,14 @@ def lle_rosenstein(
         lo, hi = 0, _auto_fit_end(curve)
     seg = curve[lo : hi + 1]
     ks = np.arange(lo, hi + 1)
-    ss_tot = np.sum((seg - seg.mean()) ** 2)
-    if ss_tot <= 0.0:
+    # Steps whose pairs all lie at one distance (a periodic channel has its
+    # neighbors at 0) give means that differ only in how each rounds: up to
+    # 8 units in the last place over 1-3000 pairs, far below a real rise.
+    if np.ptp(seg) <= 64 * np.spacing(np.abs(seg).max()):
         raise NumericalError("divergence curve is constant over the fit range")
     slope, intercept = np.polyfit(ks, seg, 1)
     pred = slope * ks + intercept
-    r2 = 1.0 - np.sum((seg - pred) ** 2) / ss_tot
+    r2 = 1.0 - np.sum((seg - pred) ** 2) / np.sum((seg - seg.mean()) ** 2)
     curve = np.array(curve)
     curve.setflags(write=False)
     return LLEResult(

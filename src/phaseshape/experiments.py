@@ -237,16 +237,15 @@ def synthetic_instances(
 def _resolve_delay(channel: TimeSeries, label, delays) -> DelayEstimate:
     """The package's one delay rule: an int is the delay ("flag"), a dict
     gives the label's entry ("table"), and None gives a bundled label's
-    ``default_tau`` ("default"), else the channel's own estimate. A given
-    delay is checked where it builds the EmbeddingParams."""
+    ``default_tau`` ("default"), else the channel's own estimate. The
+    caller checks that delays is one of these; a given delay is checked
+    where it builds the EmbeddingParams."""
     if isinstance(delays, (int, np.integer)):
         return DelayEstimate(delays, "flag")
     if isinstance(delays, dict):
         if label in delays:
             return DelayEstimate(delays[label], "table")
         raise ValidationError(f"no delay given for label {label!r}")
-    if delays is not None:
-        raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
     if label in BUNDLED:
         return DelayEstimate(BUNDLED[label].default_tau, "default")
     return estimate_delay(channel)
@@ -278,6 +277,8 @@ def classification_experiment(
     if metric is None:
         metric = "chi2" if features == "shape" else "l2"
     _metric_name(metric)
+    if not (delays is None or isinstance(delays, (int, np.integer, dict))):
+        raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
     m = check_int("m", m, 1)
     if features == "shape":
         base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)

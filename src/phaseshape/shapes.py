@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
 from .errors import ValidationError, channel_errors, check_int, check_real
@@ -288,6 +287,8 @@ def exhaustive_d2(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:
     Serves as the sampling oracle: the sampled D2 distribution converges to
     this one as n_samples grows. Guarded to at most 5000 points.
     """
+    from scipy.spatial.distance import pdist
+
     p = len(ps.points)
     if p < 2:
         raise ValidationError(f"need at least 2 points for pair distances, got {p}")

@@ -185,6 +185,18 @@ class TestLLE:
         with pytest.raises(NumericalError, match="constant over the fit range"):
             lle_rosenstein(ps, LLEConfig(theiler=3, k_max=10))
 
+    @pytest.mark.parametrize("tau", [1, 2])
+    def test_periodic_curve_rejected(self, tau):
+        # Every point has an exact copy one period away, so every step's
+        # pairs sit at distance 0 and each curve entry is the mean of equal
+        # log(DIST_FLOOR) values: the entries differ only in their rounding.
+        x = np.tile(np.arange(5.0), 100)
+        ps = delay_embed(TimeSeries(x), EmbeddingParams(3, tau))
+        curve = divergence_curve(ps, default_lle_config(ps))
+        assert 0 < np.ptp(curve) <= 8 * np.spacing(np.abs(curve).max())
+        with pytest.raises(NumericalError, match="constant over the fit range"):
+            lle_rosenstein(ps)
+
     def test_bad_dt(self, rossler_default):
         ps = delay_embed(rossler_default.prefix(500).channels[0], EmbeddingParams(3, 8))
         with pytest.raises(ValidationError, match="dt"):
@@ -492,7 +504,7 @@ class TestDistanceBlocksOracle:
                 ks.append(k)
                 return super().query(x, k=k)
 
-        monkeypatch.setattr(chaos, "cKDTree", Recording)
+        monkeypatch.setattr("scipy.spatial.cKDTree", Recording)
         pts = np.tile([[0.0], [1.0]], (20, 1))
         _check_neighbors(pts, 2)
         assert ks[0] == chaos.K_START and max(ks) > 20

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,19 @@ class TestChaos:
         assert main(["chaos", str(path), "--tau", "5"]) == 2
         assert "error: channel 1: constant series" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["auto", "1"])
+    def test_periodic_input(self, tmp_path, capsys, tau):
+        # 0..4 repeated: every nearest neighbor is an exact copy, so the
+        # divergence curve carries no slope, only rounding.
+        path = tmp_path / "periodic.csv"
+        write_csv(MultiSeries((TimeSeries(np.tile(np.arange(5.0), 100)),)), path)
+        assert main(["chaos", str(path), "--tau", tau]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "numerical error: channel 0: divergence curve is constant over the fit range\n"
+        )
+
 
 class TestStability:
     def test_artifacts_written(self, tmp_path, capsys):
@@ -341,10 +358,12 @@ class TestClassify:
 
     @pytest.mark.parametrize("features", ["shape", "chaos"])
     def test_failing_instance_named(self, tmp_path, capsys, features):
+        # An irrational period: an exactly periodic channel has no
+        # divergence for the chaos features to fit.
         for label, n in (("a", 300), ("b", 12)):
             d = tmp_path / "bad" / label
             d.mkdir(parents=True)
-            _sine_csv(d / "i1.csv", n=n)
+            _sine_csv(d / "i1.csv", n=n, period=20 * np.sqrt(2))
         rc = main(["classify", "--dataset", str(tmp_path / "bad"), "--tau", "11",
                    "--features", features])
         assert rc == 2
@@ -424,6 +443,37 @@ def test_out_of_memory_exits_two(rossler_csv, capsys, monkeypatch):
     assert main(["chaos", str(rossler_csv), "--tau", "8"]) == 2
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 114. MiB for an array\n"
+
+
+# Runs in a fresh interpreter, where nothing has imported scipy yet.
+_SCIPY_BOUNDARY = """
+import sys
+import phaseshape, phaseshape.cli as cli
+assert "scipy.spatial" not in sys.modules
+for argv in (
+    ["gen-model", "lorenz", "--n", "600", "--out", "l.csv"],
+    ["features", "l.csv", "--tau", "11", "--samples", "300"],
+    ["stability", "--lorenz-lengths", "500", "--rossler-lengths", "400", "--samples", "300"],
+    ["classify", "--synthetic", "lorenz-rossler", "--per-class", "2", "--samples", "300"],
+):
+    assert cli.main(argv) == 0, argv
+    assert "scipy.spatial" not in sys.modules, argv
+assert cli.main(["chaos", "l.csv", "--tau", "11"]) == 0
+assert "scipy.spatial" in sys.modules
+print(phaseshape.__file__)
+"""
+
+
+def test_only_chaos_imports_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BOUNDARY], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert Path(proc.stdout.splitlines()[-1]).is_relative_to(src)
 
 
 class TestTopLevel:

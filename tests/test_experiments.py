@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -386,8 +387,10 @@ class TestClassification:
 
     @pytest.mark.parametrize("features", ["shape", "chaos"])
     def test_failing_instance_named(self, features):
+        # An irrational period: an exactly periodic channel has no
+        # divergence for the chaos features to fit.
         insts = [
-            _sine_instance("slow-0", "slow", 40),
+            _sine_instance("slow-0", "slow", 40 * np.sqrt(2)),
             Instance("fast-0", MultiSeries((TimeSeries(np.sin(np.arange(12.0))),), label="fast")),
         ]
         with pytest.raises(
@@ -419,6 +422,20 @@ class TestClassification:
             classification_experiment(instances=insts, features=features, metric="cosine")
         with pytest.raises(ValidationError, match="metric"):
             classification_experiment(per_class=1, features=features, metric="cosine")
+
+    @pytest.mark.parametrize("delays", [2.5, "11", [11]], ids=["float", "str", "list"])
+    def test_bad_delays_rejected_up_front(self, monkeypatch, delays):
+        def no_work(*args, **kwargs):
+            raise AssertionError("instance built before delays was checked")
+
+        monkeypatch.setattr(experiments, "_generate", no_work)
+        monkeypatch.setattr(experiments, "feature_vector", no_work)
+        message = rf"^delays must be an int, a dict, or None, got {re.escape(repr(delays))}$"
+        insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
+        with pytest.raises(ValidationError, match=message):
+            classification_experiment(instances=insts, delays=delays)
+        with pytest.raises(ValidationError, match=message):
+            classification_experiment(per_class=1, delays=delays)
 
     @pytest.mark.parametrize("setting, message", [
         ({"kind": "D9"}, "kind must be one of"),

@@ -48,3 +48,6 @@ run gen-bad-long gen-model lorenz --n 300 --out bad/a/long.csv
 run gen-bad-short gen-model rossler --n 12 --out bad/b/short.csv
 run classify-bad classify --dataset bad --tau 11
 run classify-bad-chaos classify --dataset bad --tau 11 --features chaos
+# 0..4 repeated: every nearest neighbour is an exact copy, a flat divergence curve
+for i in $(seq 100); do printf '0\n1\n2\n3\n4\n'; done >periodic.csv
+run chaos-periodic chaos periodic.csv --tau auto
