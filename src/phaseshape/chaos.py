@@ -473,22 +473,19 @@ class ChaosFeatureVector:
         }
 
 
-def chaos_feature_vector(
-    series: TimeSeries,
-    embed: EmbeddingParams,
-    config: LLEConfig | None = None,
-) -> ChaosFeatureVector:
+def chaos_feature_vector(series: TimeSeries, embed: EmbeddingParams) -> ChaosFeatureVector:
     """Build the 10-number chaos feature from one channel.
 
     The channel is delay-embedded, lambda1 is estimated with the divergence
-    method, and C(r) is evaluated at the 8 standard radii with the same
-    theiler exclusion; corr_dim is the log-log slope over those radii.
+    method under ``default_lle_config`` of the cloud (``lle_rosenstein``
+    takes any other config), and C(r) is evaluated at the 8 standard radii
+    with the same theiler exclusion; corr_dim is the log-log slope over
+    those radii.
     """
     if np.ptp(series.samples) == 0.0:
         raise ValidationError("constant series has no attractor geometry")
     ps = delay_embed(series, embed)
-    if config is None:
-        config = default_lle_config(ps)
+    config = default_lle_config(ps)
     res = lle_rosenstein(ps, config, dt=series.dt)
     radii, dia = _default_radii(ps)
     integrals = _pair_fractions(ps.points, radii, config.theiler, dia)

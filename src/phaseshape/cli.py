@@ -27,7 +27,7 @@ from .chaos import chaos_feature_vector
 from .classify import ConfusionMatrix
 from .embedding import DelayEstimate, EmbeddingParams
 from .errors import NumericalError, ValidationError, channel_errors
-from .models import BUNDLED, GenConfig, generate_system
+from .models import BUNDLED, GenConfig, _initial_state, generate_system
 from .experiments import (
     _resolve_delay, classification_experiment, load_dataset, stability_experiment,
 )
@@ -153,7 +153,7 @@ def cmd_gen_model(args) -> int:
             "n": config.n,
             "dt": series.dt,
             "transient": config.transient,
-            "ic": list(config.ic),
+            "ic": list(_initial_state(cls, config)),
             "seed": seed,
             "params": asdict(params),
         },

@@ -135,24 +135,24 @@ class DelayEstimate:
     ``method`` is "zero-crossing" when the autocorrelation reached a
     non-positive value, "local-minimum" when the first local minimum was
     used instead, and "max-lag" when neither occurred within range. A delay
-    given as an int (the CLI's ``--tau``) is "flag", a per-label table entry
-    "table", and a bundled system's ``default_tau`` "default"; the one rule
-    that picks among them is ``experiments._resolve_delay``.
+    given as an int (the CLI's ``--tau``) is "flag", and a bundled system's
+    ``default_tau`` "default"; the one rule that picks among them is
+    ``experiments._resolve_delay``.
     """
 
     tau: int
     method: str
 
 
-def estimate_delay(series: TimeSeries, max_lag: int | None = None) -> DelayEstimate:
+def estimate_delay(series: TimeSeries) -> DelayEstimate:
     """Estimate the embedding delay from the autocorrelation function.
 
     The delay is the smallest lag L >= 1 with r(L) <= 0. If no such lag
-    exists within ``max_lag``, the first local minimum of r is used; if
-    there is none, ``max_lag`` itself. The applied rule is reported in the
-    result so downstream configs can surface it.
+    exists within the N // 4 window of ``autocorrelation``, the first local
+    minimum of r is used; if there is none, N // 4 itself. The applied rule
+    is reported in the result so downstream configs can surface it.
     """
-    r = autocorrelation(series, max_lag)
+    r = autocorrelation(series)
     top = len(r) - 1
     nonpos = np.flatnonzero(r[1:] <= 0.0)
     if nonpos.size:

@@ -13,7 +13,7 @@ from numbers import Real
 import numpy as np
 
 __all__ = [
-    "ValidationError", "NumericalError", "channel_errors", "is_int", "check_int", "check_real",
+    "ValidationError", "NumericalError", "channel_errors", "check_int", "check_real",
     "check_sequence",
 ]
 
@@ -38,18 +38,14 @@ def channel_errors(prefix: str):
         raise type(e)(f"{prefix}: {e}") from e
 
 
-def is_int(value) -> bool:
-    """True for a Python or numpy integer; booleans are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def check_int(name: str, value, low: int) -> int:
     """``int(value)`` for an integer ``value >= low``, else ValidationError.
 
     Every count, window and seed of the package goes through this rule;
-    seeds use ``low=0``.
+    seeds use ``low=0``. A Python or numpy integer qualifies; a boolean is
+    not a count.
     """
-    if not (is_int(value) and value >= low):
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

@@ -129,7 +129,7 @@ def stability_experiment(
     smallest cross-system distance: a stable descriptor keeps the former
     below the latter.
     """
-    _metric_name(metric)
+    metric = _metric_name(metric)
     m = check_int("m", m, 1)
     base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
     seed = check_int("seed", seed, 0)
@@ -235,17 +235,13 @@ def synthetic_instances(
 
 
 def _resolve_delay(channel: TimeSeries, label, delays) -> DelayEstimate:
-    """The package's one delay rule: an int is the delay ("flag"), a dict
-    gives the label's entry ("table"), and None gives a bundled label's
-    ``default_tau`` ("default"), else the channel's own estimate. The
-    caller checks that delays is one of these; a given delay is checked
-    where it builds the EmbeddingParams."""
-    if isinstance(delays, (int, np.integer)):
+    """The package's one delay rule: an int is the delay ("flag"); None
+    gives a bundled label's ``default_tau`` ("default"), else the channel's
+    own estimate. The caller passes an int or None and checks a given int
+    (``classification_experiment`` up front, the CLI through the
+    EmbeddingParams it builds)."""
+    if delays is not None:
         return DelayEstimate(delays, "flag")
-    if isinstance(delays, dict):
-        if label in delays:
-            return DelayEstimate(delays[label], "table")
-        raise ValidationError(f"no delay given for label {label!r}")
     if label in BUNDLED:
         return DelayEstimate(BUNDLED[label].default_tau, "default")
     return estimate_delay(channel)
@@ -271,14 +267,17 @@ def classification_experiment(
     per-channel shape distributions ("shape", compared with chi2 by
     default) or the 10-number chaos vector from the first channel
     ("chaos", compared with l2 since its entries can be negative).
+    ``delays`` is one delay for every instance, or None for the one delay
+    rule of ``_resolve_delay``. Shape features need every instance to have
+    the same number of channels.
     """
     if features not in ("shape", "chaos"):
         raise ValidationError(f"features must be 'shape' or 'chaos', got {features!r}")
     if metric is None:
         metric = "chi2" if features == "shape" else "l2"
-    _metric_name(metric)
-    if not (delays is None or isinstance(delays, (int, np.integer, dict))):
-        raise ValidationError(f"delays must be an int, a dict, or None, got {delays!r}")
+    metric = _metric_name(metric)
+    if delays is not None:
+        delays = check_int("tau", delays, 1)
     m = check_int("m", m, 1)
     if features == "shape":
         base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
@@ -293,14 +292,21 @@ def classification_experiment(
         raise ValidationError(f"need at least 2 instances, got {len(instances)}")
     if len({inst.id for inst in instances}) != len(instances):
         raise ValidationError("instance ids must be unique")
+    if features == "shape":
+        first = instances[0]
+        for inst in instances:
+            if len(inst.series) != len(first.series):
+                raise ValidationError(
+                    f"instance {inst.id!r} has {len(inst.series)} channels,"
+                    f" {first.id!r} has {len(first.series)}"
+                )
 
     def one(task):
         q, inst = task
         ch0, named = inst.series.channels[0], f"instance {inst.id!r}"
         # Channel 0's delay embeds every channel: the one per-command
         # delay policy left (ROADMAP item 4 gives each channel its own). A
-        # bad given delay is a setting error, so EmbeddingParams names no
-        # instance.
+        # given delay was checked up front.
         with channel_errors(named), channel_errors("channel 0"):
             tau = _resolve_delay(ch0, inst.series.label, delays).tau
         params = EmbeddingParams(m=m, tau=tau)

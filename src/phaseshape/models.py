@@ -27,13 +27,7 @@ __all__ = [
     "generate_system",
     "lorenz_generate",
     "rossler_generate",
-    "LORENZ_DT",
-    "ROSSLER_DT",
 ]
-
-# System-default sampling steps.
-LORENZ_DT = 0.01
-ROSSLER_DT = 0.12
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,7 @@ class LorenzParams:
     """Control parameters of x' = sigma(y-x), y' = x(rho-z)-y, z' = xy-beta z."""
 
     # Default step, and the (low, high) box seeded initial conditions are drawn from.
-    default_dt: ClassVar[float] = LORENZ_DT
+    default_dt: ClassVar[float] = 0.01
     ic_box: ClassVar[tuple] = ((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
     # The conventional reference delay in samples at default_dt, pinned
     # because the ACF rule of estimate_delay does not reproduce it (README
@@ -69,7 +63,7 @@ class LorenzParams:
 class RosslerParams:
     """Control parameters of x' = -y-z, y' = x+ay, z' = b+z(x-c)."""
 
-    default_dt: ClassVar[float] = ROSSLER_DT
+    default_dt: ClassVar[float] = 0.12
     ic_box: ClassVar[tuple] = ((-5.0, -5.0, 0.0), (5.0, 5.0, 5.0))
     default_tau: ClassVar[int] = 8
     length_range: ClassVar[tuple] = (400, 2000)
@@ -208,6 +202,14 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     return out
 
 
+def _initial_state(cls, config: GenConfig) -> tuple:
+    """The state ``config`` starts from: drawn from ``cls.ic_box`` by
+    ``config.seed`` when it is set, else ``config.ic``."""
+    if config.seed is None:
+        return config.ic
+    return tuple(np.random.default_rng(config.seed).uniform(*cls.ic_box).tolist())
+
+
 def _generate(system: str, configs, params=None) -> list[MultiSeries]:
     """One MultiSeries per config of a bundled system, all integrated in one
     rk4_integrate pass.
@@ -228,11 +230,7 @@ def _generate(system: str, configs, params=None) -> list[MultiSeries]:
     if len(dts) != 1:
         raise ValidationError(f"a batch needs one dt, got {sorted(dts)}")
     dt = dts.pop()
-    low, high = cls.ic_box
-    ics = np.array([
-        np.random.default_rng(c.seed).uniform(low, high) if c.seed is not None else c.ic
-        for c in configs
-    ], dtype=float)
+    ics = np.array([_initial_state(cls, c) for c in configs], dtype=float)
     steps = max(c.transient + c.n for c in configs) - 1
     traj = rk4_integrate(params.deriv, ics[0] if len(configs) == 1 else ics, dt, steps)
     traj = traj.reshape(steps + 1, len(configs), 3)

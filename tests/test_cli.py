@@ -72,6 +72,17 @@ class TestGenModel:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_seeded_sidecar_ic_replays(self, tmp_path):
+        # The sidecar records the state the seed drew, not the --ic default
+        seeded, replay = tmp_path / "seeded.csv", tmp_path / "replay.csv"
+        assert main(["gen-model", "rossler", "--n", "50", "--seed", "7",
+                     "--out", str(seeded)]) == 0
+        ic = read_meta(seeded)["ic"]
+        assert ic == np.random.default_rng(7).uniform(*BUNDLED["rossler"].ic_box).tolist()
+        assert main(["gen-model", "rossler", "--n", "50", "--ic", ",".join(map(repr, ic)),
+                     "--out", str(replay)]) == 0
+        assert replay.read_bytes() == seeded.read_bytes()
+
     def test_explicit_ic(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main(["gen-model", "rossler", "--n", "50", "--ic", "1,2,0.5",

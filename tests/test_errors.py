@@ -22,7 +22,6 @@ from phaseshape import (
     autocorrelation,
     classification_experiment,
     delay_embed,
-    estimate_delay,
     generate_system,
     lle_rosenstein,
     rk4_integrate,
@@ -86,7 +85,7 @@ SITES = [
         "tau",
         1,
         lambda v: classification_experiment(
-            _tiny_instances(), n_samples=200, delays={"lorenz": v, "rossler": 8}
+            _tiny_instances(), n_samples=200, delays=v
         ).artifacts["instances"][0]["tau"],
         True,
     ),
@@ -100,7 +99,6 @@ SITES = [
     ),
     ("n_steps", 0, lambda v: rk4_integrate(lambda y: (-y,), [1.0], 0.1, v), False),
     ("max_lag", 1, lambda v: autocorrelation(_SINE, v), False),
-    ("max_lag", 1, lambda v: estimate_delay(_SINE, v), False),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 

@@ -195,7 +195,6 @@ class TestResolveDelay:
         ch = _sine_instance("s", "slow", 40).series.channels[0]
         assert experiments._resolve_delay(ch, "slow", 5) == DelayEstimate(5, "flag")
         assert experiments._resolve_delay(ch, None, np.int64(5)) == DelayEstimate(5, "flag")
-        assert experiments._resolve_delay(ch, "slow", {"slow": 9}) == DelayEstimate(9, "table")
 
     def test_bundled_default_else_estimate(self):
         ch = _sine_instance("s", "slow", 40).series.channels[0]
@@ -358,32 +357,39 @@ class TestClassification:
         rep = classification_experiment(instances=insts, n_samples=200, m=2, delays=5)
         assert all(i["tau"] == 5 for i in rep.artifacts["instances"])
 
-    def test_delay_table(self):
-        insts = [
-            _sine_instance("slow-0", "slow", 40),
-            _sine_instance("fast-0", "fast", 12),
-        ]
-        rep = classification_experiment(
-            instances=insts, n_samples=200, m=2, delays={"slow": 9, "fast": 3}
-        )
-        taus = {i["id"]: i["tau"] for i in rep.artifacts["instances"]}
-        assert taus == {"slow-0": 9, "fast-0": 3}
-
-    def test_delay_table_missing_label(self):
-        insts = [
-            _sine_instance("slow-0", "slow", 40),
-            _sine_instance("fast-0", "fast", 12),
-        ]
-        with pytest.raises(ValidationError, match="no delay given"):
-            classification_experiment(instances=insts, n_samples=200, m=2, delays={"slow": 9})
-
     def test_bad_delays_type(self):
         insts = [
             _sine_instance("slow-0", "slow", 40),
             _sine_instance("fast-0", "fast", 12),
         ]
-        with pytest.raises(ValidationError, match="delays"):
+        with pytest.raises(ValidationError, match="tau"):
             classification_experiment(instances=insts, n_samples=200, m=2, delays=2.5)
+
+    def test_mixed_channel_counts(self, monkeypatch):
+        three = lorenz_generate(GenConfig(n=600))
+        two = MultiSeries(three.channels[:2], label="b")
+        insts = [Instance("a/three", three.with_label("a")), Instance("b/two", two)]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("instance featurized before the channel counts were checked")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(experiments, "feature_vector", no_work)
+            with pytest.raises(
+                ValidationError, match=r"^instance 'b/two' has 2 channels, 'a/three' has 3$"
+            ):
+                classification_experiment(instances=insts, delays=11)
+        # Chaos features read channel 0 only
+        rep = classification_experiment(instances=insts, features="chaos", delays=11)
+        assert rep.metrics["total"] == 2
+
+    def test_metric_reported_as_resolved(self):
+        stab = stability_experiment(
+            lorenz_lengths=[600], rossler_lengths=[400], n_samples=200, metric="CHI2"
+        )
+        insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
+        cls = classification_experiment(instances=insts, n_samples=200, m=2, metric="Chi2")
+        assert stab.config["metric"] == cls.config["metric"] == "chi2"
 
     @pytest.mark.parametrize("features", ["shape", "chaos"])
     def test_failing_instance_named(self, features):
@@ -423,14 +429,16 @@ class TestClassification:
         with pytest.raises(ValidationError, match="metric"):
             classification_experiment(per_class=1, features=features, metric="cosine")
 
-    @pytest.mark.parametrize("delays", [2.5, "11", [11]], ids=["float", "str", "list"])
+    @pytest.mark.parametrize(
+        "delays", [2.5, "11", [11], {"slow": 9, "fast": 3}], ids=["float", "str", "list", "dict"]
+    )
     def test_bad_delays_rejected_up_front(self, monkeypatch, delays):
         def no_work(*args, **kwargs):
             raise AssertionError("instance built before delays was checked")
 
         monkeypatch.setattr(experiments, "_generate", no_work)
         monkeypatch.setattr(experiments, "feature_vector", no_work)
-        message = rf"^delays must be an int, a dict, or None, got {re.escape(repr(delays))}$"
+        message = rf"^tau must be an integer >= 1, got {re.escape(repr(delays))}$"
         insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
         with pytest.raises(ValidationError, match=message):
             classification_experiment(instances=insts, delays=delays)

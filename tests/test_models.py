@@ -14,7 +14,7 @@ from phaseshape import (
     rossler_generate,
 )
 from phaseshape import models
-from phaseshape.models import BUNDLED, LORENZ_DT, ROSSLER_DT, generate_system
+from phaseshape.models import BUNDLED, generate_system
 
 
 class TestParams:
@@ -27,12 +27,12 @@ class TestParams:
         assert (p.a, p.b, p.c) == (0.15, 0.20, 10.0)
 
     def test_default_steps(self):
-        assert LORENZ_DT == 0.01
-        assert ROSSLER_DT == 0.12
+        assert LorenzParams.default_dt == 0.01
+        assert RosslerParams.default_dt == 0.12
 
     def test_bundled_table(self):
         assert list(BUNDLED.items()) == [("lorenz", LorenzParams), ("rossler", RosslerParams)]
-        assert (LorenzParams.default_dt, RosslerParams.default_dt) == (LORENZ_DT, ROSSLER_DT)
+        assert [cls.default_dt for cls in BUNDLED.values()] == [0.01, 0.12]
         assert LorenzParams.ic_box == ((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
         assert RosslerParams.ic_box == ((-5.0, -5.0, 0.0), (5.0, 5.0, 5.0))
 
@@ -203,7 +203,7 @@ class TestLorenz:
         ms = lorenz_generate(GenConfig(n=500))
         assert ms.n == 500
         assert [ch.name for ch in ms.channels] == ["x", "y", "z"]
-        assert ms.dt == LORENZ_DT
+        assert ms.dt == LorenzParams.default_dt
         assert ms.label == "lorenz"
 
     def test_default_trajectory_bounded(self, lorenz_default):
@@ -235,7 +235,7 @@ class TestLorenz:
 class TestRossler:
     def test_shape_and_defaults(self, rossler_default):
         assert rossler_default.n == 2000
-        assert rossler_default.dt == ROSSLER_DT
+        assert rossler_default.dt == RosslerParams.default_dt
         assert rossler_default.label == "rossler"
 
     def test_seed_draws_ic_from_box(self):

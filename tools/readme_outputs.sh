@@ -48,6 +48,11 @@ run gen-bad-long gen-model lorenz --n 300 --out bad/a/long.csv
 run gen-bad-short gen-model rossler --n 12 --out bad/b/short.csv
 run classify-bad classify --dataset bad --tau 11
 run classify-bad-chaos classify --dataset bad --tau 11 --features chaos
+# one 3-channel and one 2-channel instance: shape features need equal counts
+mkdir -p mixed/a mixed/b
+cp lorenz.csv mixed/a/three.csv
+cut -d, -f1,2 lorenz.csv >mixed/b/two.csv
+run classify-mixed classify --dataset mixed --tau 11
 # 0..4 repeated: every nearest neighbour is an exact copy, a flat divergence curve
 for i in $(seq 100); do printf '0\n1\n2\n3\n4\n'; done >periodic.csv
 run chaos-periodic chaos periodic.csv --tau auto
