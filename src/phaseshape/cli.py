@@ -23,14 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import chaos_feature_vector
+from .chaos import LOW_R2_THRESHOLD, chaos_feature_vector
 from .classify import ConfusionMatrix
-from .embedding import DelayEstimate, EmbeddingParams
-from .errors import NumericalError, ValidationError, channel_errors
+from .embedding import per_channel
+from .errors import NumericalError, ValidationError
 from .models import BUNDLED, GenConfig, _initial_state, generate_system
-from .experiments import (
-    _resolve_delay, classification_experiment, load_dataset, stability_experiment,
-)
+from .experiments import classification_experiment, load_dataset, stability_experiment
 from .series import load_csv, sidecar_dt, write_csv, write_meta
 from .shapes import KINDS, NORMALIZATIONS, ShapeConfig, channel_distributions
 
@@ -105,15 +103,6 @@ def _load_input(path: str, dt_flag: float | None):
     return load_csv(path, dt=dt_flag if dt_flag is not None else sidecar_dt(path))
 
 
-def _channel_delays(series, tau_flag) -> list[DelayEstimate]:
-    """Each channel's delay by the one delay rule (``--tau``, else the estimate)."""
-    out = []
-    for ci, ch in enumerate(series.channels):
-        with channel_errors(f"channel {ci}"):
-            out.append(_resolve_delay(ch, series.label, tau_flag))
-    return out
-
-
 def _emit(payload, out) -> None:
     """Write the payload as JSON to ``out``, or print it when no path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -168,8 +157,6 @@ def cmd_gen_model(args) -> int:
 def cmd_features(args) -> int:
     series = _load_input(args.input, args.dt)
     seed = _seed_or_env(args.seed, 0)
-    delays = _channel_delays(series, args.tau)
-    embeds = [EmbeddingParams(m=args.m, tau=dl.tau) for dl in delays]
     cfg = ShapeConfig(
         kind=args.kind,
         n_samples=args.samples,
@@ -179,11 +166,11 @@ def cmd_features(args) -> int:
         seed=seed,
         normalization=args.normalization,
     )
-    dists = channel_distributions(series, embeds, cfg)
+    results = channel_distributions(series, args.m, args.tau, cfg)
     channels = [
         {"name": ch.name, "tau": dl.tau, "tau_method": dl.method,
          "m": args.m, "distribution": dist.to_dict()}
-        for ch, dl, dist in zip(series.channels, delays, dists)
+        for ch, (dl, dist) in zip(series.channels, results)
     ]
     payload = {
         "input": str(args.input),
@@ -195,7 +182,7 @@ def cmd_features(args) -> int:
         "normalization": args.normalization,
         "dt": series.dt,
         "channels": channels,
-        "vector": np.concatenate([d.mass for d in dists]).tolist(),
+        "vector": np.concatenate([dist.mass for _, dist in results]).tolist(),
     }
     _emit(payload, args.out)
     return 0
@@ -206,28 +193,23 @@ def cmd_features(args) -> int:
 
 def cmd_chaos(args) -> int:
     series = _load_input(args.input, args.dt)
-    delays = _channel_delays(series, args.tau)
-    channels = []
-    vectors = []
-    for ci, (ch, dl) in enumerate(zip(series.channels, delays)):
-        params = EmbeddingParams(m=args.m, tau=dl.tau)
-        with channel_errors(f"channel {ci}"):
-            cv = chaos_feature_vector(ch, params)
+    results = per_channel(series, args.m, args.tau, chaos_feature_vector)
+    for ci, (ch, (_, cv)) in enumerate(zip(series.channels, results)):
         if cv.low_r2:
             print(
                 f"warning: channel {ci} ({ch.name}): divergence fit R^2 "
-                f"{cv.r2:.4f} is below 0.95; lambda1 may be unreliable",
+                f"{cv.r2:.4f} is below {LOW_R2_THRESHOLD}; lambda1 may be unreliable",
                 file=sys.stderr,
             )
-        channels.append({"name": ch.name, "tau": dl.tau, "tau_method": dl.method,
-                         "m": args.m, **cv.to_dict()})
-        vectors.append(cv.vector)
     payload = {
         "input": str(args.input),
         "m": args.m,
         "dt": series.dt,
-        "channels": channels,
-        "vector": np.concatenate(vectors).tolist(),
+        "channels": [
+            {"name": ch.name, "tau": dl.tau, "tau_method": dl.method, "m": args.m, **cv.to_dict()}
+            for ch, (dl, cv) in zip(series.channels, results)
+        ],
+        "vector": np.concatenate([cv.vector for _, cv in results]).tolist(),
     }
     _emit(payload, args.out)
     return 0

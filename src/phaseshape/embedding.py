@@ -2,7 +2,8 @@
 
 The embedding delay is estimated from the autocorrelation function (first
 non-positive lag, with a documented fallback ladder); the embedding
-dimension is a fixed parameter.
+dimension is a fixed parameter. ``per_channel`` is the one loop over a
+series' channels: it resolves each channel's delay and computes its feature.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int
-from .series import TimeSeries
+from .errors import ValidationError, channel_errors, check_int
+from .models import BUNDLED
+from .series import MultiSeries, TimeSeries
 
 __all__ = [
     "EmbeddingParams",
@@ -21,6 +23,7 @@ __all__ = [
     "autocorrelation",
     "estimate_delay",
     "delay_embed",
+    "per_channel",
 ]
 
 
@@ -137,7 +140,7 @@ class DelayEstimate:
     used instead, and "max-lag" when neither occurred within range. A delay
     given as an int (the CLI's ``--tau``) is "flag", and a bundled system's
     ``default_tau`` "default"; the one rule that picks among them is
-    ``experiments._resolve_delay``.
+    ``embedding._resolve_delay``.
     """
 
     tau: int
@@ -178,3 +181,34 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
         )
     pts = np.column_stack([x[i * tau : i * tau + p] for i in range(m)])
     return PhaseSpace(points=pts, params=params)
+
+
+def _resolve_delay(channel: TimeSeries, label, tau) -> DelayEstimate:
+    """The package's one delay rule: an int is the delay ("flag"); None
+    gives a bundled label's ``default_tau`` ("default"), else the channel's
+    own estimate. The caller checks a given int (``per_channel`` and
+    ``classification_experiment`` up front)."""
+    if tau is not None:
+        return DelayEstimate(tau, "flag")
+    if label in BUNDLED:
+        return DelayEstimate(BUNDLED[label].default_tau, "default")
+    return estimate_delay(channel)
+
+
+def per_channel(series: MultiSeries, m, tau, featurize) -> list:
+    """``(DelayEstimate, featurize(channel, EmbeddingParams(m, delay)))`` for
+    each channel, the delay by ``_resolve_delay``: ``tau`` when given, else
+    a bundled label's ``default_tau``, else the channel's estimate.
+
+    ``m`` and a given ``tau`` are checked before any channel is read; an
+    error from a channel's delay or feature is prefixed ``channel k: ``.
+    """
+    m = check_int("m", m, 1)
+    if tau is not None:
+        tau = check_int("tau", tau, 1)
+    out = []
+    for ci, ch in enumerate(series.channels):
+        with channel_errors(f"channel {ci}"):
+            delay = _resolve_delay(ch, series.label, tau)
+            out.append((delay, featurize(ch, EmbeddingParams(m, delay.tau))))
+    return out

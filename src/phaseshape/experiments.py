@@ -19,10 +19,10 @@ import numpy as np
 
 from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
-from .embedding import DelayEstimate, EmbeddingParams, estimate_delay
+from .embedding import EmbeddingParams, _resolve_delay
 from .errors import ValidationError, channel_errors, check_int, check_sequence
 from .models import BUNDLED, GenConfig, _generate, generate_system
-from .series import MultiSeries, TimeSeries, load_csv, sidecar_dt
+from .series import MultiSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
 
 __all__ = [
@@ -149,17 +149,15 @@ def stability_experiment(
 
     trajectories = {s: generate_system(s, GenConfig(n=lens[-1], seed=gen_seed))
                     for s, lens in plan.items() if lens}
-    delays = {s: _resolve_delay(t.channels[0], s, None).tau for s, t in trajectories.items()}
 
     def one(task):
         idx, system, n = task
-        series = trajectories[system].prefix(n)
-        params = EmbeddingParams(m=m, tau=delays[system])
         cfg = replace(base, seed=_derived_seed(seed, idx))
-        return channel_distributions(series, [params] * len(series), cfg)
+        return channel_distributions(trajectories[system].prefix(n), m, None, cfg)
 
     results = _map(one, tasks, jobs)
-    vectors = [np.concatenate([d.mass for d in dists]) for dists in results]
+    delays = {system: results[i][0][0].tau for i, system, _ in tasks}
+    vectors = [np.concatenate([d.mass for _, d in dists]) for dists in results]
     dmat = np.array([distances(v, vectors, metric) for v in vectors])
 
     # Each unordered pair once, from the upper triangle
@@ -194,7 +192,7 @@ def stability_experiment(
         },
         artifacts={
             "instances": [
-                {"system": s, "length": n, "channels": [d.to_dict() for d in results[i]]}
+                {"system": s, "length": n, "channels": [d.to_dict() for _, d in results[i]]}
                 for i, s, n in tasks
             ],
             "distance_matrix": dmat,
@@ -232,19 +230,6 @@ def synthetic_instances(
         batch = _generate(system, configs)
         instances += [Instance(id=f"{system}-{k:03d}", series=s) for k, s in enumerate(batch)]
     return instances
-
-
-def _resolve_delay(channel: TimeSeries, label, delays) -> DelayEstimate:
-    """The package's one delay rule: an int is the delay ("flag"); None
-    gives a bundled label's ``default_tau`` ("default"), else the channel's
-    own estimate. The caller passes an int or None and checks a given int
-    (``classification_experiment`` up front, the CLI through the
-    EmbeddingParams it builds)."""
-    if delays is not None:
-        return DelayEstimate(delays, "flag")
-    if label in BUNDLED:
-        return DelayEstimate(BUNDLED[label].default_tau, "default")
-    return estimate_delay(channel)
 
 
 def classification_experiment(

@@ -140,17 +140,15 @@ def _parses_numeric(cell: str) -> bool:
     return True
 
 
-def load_csv(path, has_header: bool | None = None, dt: float = 1.0) -> MultiSeries:
+def load_csv(path, dt: float = 1.0) -> MultiSeries:
     """Load a MultiSeries from a CSV file, one column per channel.
+
+    A first row with any non-numeric cell is a header of channel names.
 
     Parameters
     ----------
     path : str or Path
         File to read.
-    has_header : bool, optional
-        Whether the first row is a header of channel names. When None the
-        header is detected: a first row with any non-numeric cell is treated
-        as a header.
     dt : float, optional
         Sample period to attach to every channel (CSV itself carries none).
 
@@ -173,11 +171,9 @@ def load_csv(path, has_header: bool | None = None, dt: float = 1.0) -> MultiSeri
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValidationError(f"{p}: empty file")
-    if has_header is None:
-        has_header = not all(_parses_numeric(c) for c in rows[0])
     names = None
     start = 0
-    if has_header:
+    if not all(_parses_numeric(c) for c in rows[0]):
         names = [c.strip() for c in rows[0]]
         start = 1
     data_rows = rows[start:]

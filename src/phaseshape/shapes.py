@@ -13,12 +13,11 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import ValidationError, channel_errors, check_int, check_real
+from .embedding import DelayEstimate, EmbeddingParams, PhaseSpace, delay_embed, per_channel
+from .errors import ValidationError, check_int, check_real
 from .series import MultiSeries
 
 __all__ = [
@@ -301,23 +300,17 @@ def exhaustive_d2(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:
 
 
 def channel_distributions(
-    series: MultiSeries, embeds: Sequence[EmbeddingParams], config: ShapeConfig
-) -> list[ShapeDistribution]:
-    """Shape distribution of each channel k, delay-embedded with ``embeds[k]``.
-
-    Errors are re-raised with the offending channel index.
-    """
-    if len(embeds) != len(series):
-        raise ValidationError(f"need one embedding per channel, got {len(embeds)}")
-    out = []
-    for ci, (ch, embed) in enumerate(zip(series.channels, embeds)):
-        with channel_errors(f"channel {ci}"):
-            out.append(shape_distribution(delay_embed(ch, embed), config))
-    return out
+    series: MultiSeries, m: int, tau: int | None, config: ShapeConfig
+) -> list[tuple[DelayEstimate, ShapeDistribution]]:
+    """Each channel's delay and shape distribution, embedded at dimension
+    ``m`` and delay ``tau`` (None: the delay rule), via ``per_channel``."""
+    return per_channel(
+        series, m, tau, lambda ch, embed: shape_distribution(delay_embed(ch, embed), config)
+    )
 
 
 def feature_vector(series: MultiSeries, embed: EmbeddingParams, config: ShapeConfig) -> np.ndarray:
     """Concatenated ``channel_distributions`` masses, every channel embedded
     alike: a vector of length channels * bins."""
-    dists = channel_distributions(series, [embed] * len(series), config)
-    return np.concatenate([d.mass for d in dists])
+    dists = channel_distributions(series, embed.m, embed.tau, config)
+    return np.concatenate([d.mass for _, d in dists])

@@ -3,13 +3,18 @@ import pytest
 
 from phaseshape import (
     EmbeddingParams,
+    MultiSeries,
+    NumericalError,
     PhaseSpace,
     TimeSeries,
     ValidationError,
     autocorrelation,
     delay_embed,
+    embedding,
     estimate_delay,
 )
+from phaseshape.embedding import DelayEstimate, _resolve_delay, per_channel
+from phaseshape.models import BUNDLED
 
 
 def _acf_direct(x, max_lag):
@@ -158,3 +163,75 @@ class TestEstimateDelay:
         assert est.tau == 1
         assert est.method == "zero-crossing"
 
+
+
+def _sine(period, n=600):
+    return TimeSeries(np.sin(2 * np.pi * np.arange(n) / period))
+
+
+class TestResolveDelay:
+    """The one delay rule behind --tau, the experiments and ``per_channel``."""
+
+    def test_given_delay(self):
+        ch = _sine(40)
+        assert _resolve_delay(ch, "slow", 5) == DelayEstimate(5, "flag")
+        assert _resolve_delay(ch, None, np.int64(5)) == DelayEstimate(5, "flag")
+
+    def test_bundled_default_else_estimate(self):
+        ch = _sine(40)
+        for system, cls in BUNDLED.items():
+            assert _resolve_delay(ch, system, None) == DelayEstimate(cls.default_tau, "default")
+        for label in ("slow", None):
+            assert _resolve_delay(ch, label, None) == estimate_delay(ch)
+
+
+def _embed_len(ch, embed):
+    return len(delay_embed(ch, embed))
+
+
+class TestPerChannel:
+    def test_each_channel_its_own_delay(self):
+        series = MultiSeries((_sine(40), _sine(12)))
+        results = per_channel(series, 2, None, _embed_len)
+        assert results == [(estimate_delay(ch), 600 - estimate_delay(ch).tau)
+                           for ch in series.channels]
+        assert results[0][0].tau != results[1][0].tau
+
+    def test_given_and_default_delays(self):
+        series = MultiSeries((_sine(40), _sine(12)), label="lorenz")
+        tau = BUNDLED["lorenz"].default_tau
+        assert per_channel(series, 3, None, _embed_len) == [
+            (DelayEstimate(tau, "default"), 600 - 2 * tau)] * 2
+        assert per_channel(series, 3, np.int64(4), _embed_len) == [
+            (DelayEstimate(4, "flag"), 592)] * 2
+
+    def test_delay_error_names_the_channel(self):
+        series = MultiSeries((_sine(40), TimeSeries(np.full(600, 2.0)), _sine(12)))
+        with pytest.raises(ValidationError, match="^channel 1: zero-variance series"):
+            per_channel(series, 3, None, _embed_len)
+
+    def test_feature_error_names_the_channel(self):
+        series = MultiSeries((_sine(40), _sine(30), TimeSeries(_sine(12).samples, name="z")))
+
+        def fails_on_z(ch, embed):
+            if ch.name == "z":
+                raise NumericalError("fit failed")
+            return embed.tau
+
+        with pytest.raises(NumericalError, match="^channel 2: fit failed$"):
+            per_channel(series, 3, None, fails_on_z)
+
+    @pytest.mark.parametrize("m, tau, message", [
+        (0, None, "m must be an integer >= 1, got 0"),
+        (2.5, 3, "m must be an integer >= 1, got 2.5"),
+        (3, 0, "tau must be an integer >= 1, got 0"),
+        (3, 1.5, "tau must be an integer >= 1, got 1.5"),
+    ])
+    def test_settings_checked_before_any_channel(self, monkeypatch, m, tau, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a channel was read before the settings were checked")
+
+        monkeypatch.setattr(embedding, "estimate_delay", no_read)
+        series = MultiSeries((_sine(40), _sine(12)))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            per_channel(series, m, tau, no_read)

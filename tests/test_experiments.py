@@ -23,7 +23,6 @@ from phaseshape import (
     write_meta,
 )
 from phaseshape import experiments
-from phaseshape.embedding import DelayEstimate, estimate_delay
 from phaseshape.models import BUNDLED
 
 
@@ -188,24 +187,6 @@ class TestReportJson:
         assert json.loads(rep.to_json()) == rep.to_dict()
 
 
-class TestResolveDelay:
-    """The one delay rule behind the CLI's --tau and the experiments' delays."""
-
-    def test_given_delay(self):
-        ch = _sine_instance("s", "slow", 40).series.channels[0]
-        assert experiments._resolve_delay(ch, "slow", 5) == DelayEstimate(5, "flag")
-        assert experiments._resolve_delay(ch, None, np.int64(5)) == DelayEstimate(5, "flag")
-
-    def test_bundled_default_else_estimate(self):
-        ch = _sine_instance("s", "slow", 40).series.channels[0]
-        for system, cls in BUNDLED.items():
-            assert experiments._resolve_delay(ch, system, None) == DelayEstimate(
-                cls.default_tau, "default"
-            )
-        for label in ("slow", None):
-            assert experiments._resolve_delay(ch, label, None) == estimate_delay(ch)
-
-
 class TestSyntheticInstances:
     def test_counts_and_ids(self):
         insts = synthetic_instances(per_class=2)
@@ -356,14 +337,6 @@ class TestClassification:
         ]
         rep = classification_experiment(instances=insts, n_samples=200, m=2, delays=5)
         assert all(i["tau"] == 5 for i in rep.artifacts["instances"])
-
-    def test_bad_delays_type(self):
-        insts = [
-            _sine_instance("slow-0", "slow", 40),
-            _sine_instance("fast-0", "fast", 12),
-        ]
-        with pytest.raises(ValidationError, match="tau"):
-            classification_experiment(instances=insts, n_samples=200, m=2, delays=2.5)
 
     def test_mixed_channel_counts(self, monkeypatch):
         three = lorenz_generate(GenConfig(n=600))

@@ -171,13 +171,6 @@ class TestLoadCsv:
         assert all(ch.name is None for ch in ms.channels)
         assert ms.n == 2
 
-    def test_explicit_header_flag_wins(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1,2\n3,4\n5,6\n")
-        ms = load_csv(path, has_header=True)
-        assert [ch.name for ch in ms.channels] == ["1", "2"]
-        assert ms.n == 2
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValidationError, match="no such file"):
             load_csv(tmp_path / "missing.csv")

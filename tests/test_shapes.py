@@ -4,6 +4,7 @@ import pytest
 from phaseshape import (
     EmbeddingParams,
     GenConfig,
+    MultiSeries,
     PhaseSpace,
     ShapeConfig,
     ShapeDistribution,
@@ -12,6 +13,7 @@ from phaseshape import (
     build_histogram,
     channel_distributions,
     delay_embed,
+    estimate_delay,
     exhaustive_d2,
     feature_vector,
     lorenz_generate,
@@ -354,25 +356,24 @@ class TestFeatureVector:
             feature_vector(bad, EmbeddingParams(3, 30), ShapeConfig(n_samples=100))
 
     def test_channel_distributions_match_single_channel_path(self, lorenz_default):
-        short = lorenz_default.prefix(700)
-        embeds = [EmbeddingParams(3, 11), EmbeddingParams(2, 5), EmbeddingParams(4, 3)]
+        # Unlabeled, so tau=None estimates each channel's own delay
+        short = lorenz_default.prefix(700).with_label(None)
         cfg = ShapeConfig(kind="DT1", n_samples=900, bins=20, seed=3)
-        dists = channel_distributions(short, embeds, cfg)
-        assert len(dists) == 3
-        for ch, e, dist in zip(short.channels, embeds, dists):
-            ref = shape_distribution(delay_embed(ch, e), cfg)
+        results = channel_distributions(short, 3, None, cfg)
+        assert len(results) == 3
+        for ch, (dl, dist) in zip(short.channels, results):
+            assert dl == estimate_delay(ch)
+            ref = shape_distribution(delay_embed(ch, EmbeddingParams(3, dl.tau)), cfg)
             assert dist.mass.tolist() == ref.mass.tolist()
             assert dist.to_dict() == ref.to_dict()
 
-    def test_channel_distributions_name_the_channel(self, lorenz_default):
-        short = lorenz_default.prefix(100)
-        embeds = [EmbeddingParams(3, 11), EmbeddingParams(3, 11), EmbeddingParams(3, 60)]
-        with pytest.raises(ValidationError, match="^channel 2: .*too short"):
-            channel_distributions(short, embeds, ShapeConfig(n_samples=100))
-
-    def test_channel_distributions_need_one_embedding_per_channel(self, lorenz_default):
-        with pytest.raises(ValidationError, match="one embedding per channel"):
-            channel_distributions(lorenz_default, [EmbeddingParams(3, 11)], ShapeConfig())
+    def test_channel_distributions_name_the_channel(self):
+        # A ramp's autocorrelation never turns: its estimate is the N // 4 window
+        k = np.arange(100)
+        wave = np.sin(2 * np.pi * k / 8)
+        series = MultiSeries((TimeSeries(wave), TimeSeries(-wave), TimeSeries(k * 1.0)))
+        with pytest.raises(ValidationError, match="^channel 2: .*too short for m=5, tau=25$"):
+            channel_distributions(series, 5, None, ShapeConfig(n_samples=100))
 
     def test_deterministic(self, rossler_default):
         short = rossler_default.prefix(500)

@@ -56,3 +56,10 @@ run classify-mixed classify --dataset mixed --tau 11
 # 0..4 repeated: every nearest neighbour is an exact copy, a flat divergence curve
 for i in $(seq 100); do printf '0\n1\n2\n3\n4\n'; done >periodic.csv
 run chaos-periodic chaos periodic.csv --tau auto
+# lorenz.csv's x beside a constant column: channel 1 fails, the delay
+# estimate under features and the chaos vector under a given delay
+awk -F, 'NR == 1 { print $1 ",flat"; next } { print $1 ",1" }' lorenz.csv >flat.csv
+run features-flat features flat.csv
+run chaos-flat chaos flat.csv --tau 11
+# a bad setting is reported, unprefixed, before any channel is read
+run chaos-m0 chaos lorenz.csv --m 0
