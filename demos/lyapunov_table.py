@@ -10,7 +10,6 @@ Run with: python3 demos/lyapunov_table.py
 import numpy as np
 
 from phaseshape import (
-    DEFAULT_DELAYS,
     EmbeddingParams,
     GenConfig,
     attractor_diameter,
@@ -19,6 +18,7 @@ from phaseshape import (
     generate_system,
     lle_rosenstein,
 )
+from phaseshape.models import BUNDLED
 
 RUNS = [
     ("lorenz", (1000, 2000, 5000)),
@@ -30,7 +30,7 @@ def main():
     print(f"{'system':>8} {'n':>6} {'tau':>4} {'lambda1':>9} {'R^2':>7}  fit")
     clouds = {}
     for system, lengths in RUNS:
-        tau = DEFAULT_DELAYS[system]
+        tau = BUNDLED[system].default_tau
         traj = generate_system(system, GenConfig(n=max(lengths)))
         for n in lengths:
             x = traj.prefix(n).channels[0]
@@ -47,7 +47,7 @@ def main():
     for system, ps in clouds.items():
         dia = attractor_diameter(ps)
         radii = np.geomspace(0.01 * dia, 0.1 * dia, 8)
-        d = correlation_dimension(ps, radii, theiler=DEFAULT_DELAYS[system] * 3)
+        d = correlation_dimension(ps, radii, theiler=BUNDLED[system].default_tau * 3)
         print(f"{system:>8}  D2 = {d:.3f}")
 
     print("\nboth exponents should be positive; lorenz roughly an order of")

@@ -9,7 +9,6 @@ Run with: python3 demos/reconstruct_attractor.py
 import numpy as np
 
 from phaseshape import (
-    DEFAULT_DELAYS,
     EmbeddingParams,
     GenConfig,
     attractor_diameter,
@@ -18,6 +17,7 @@ from phaseshape import (
     estimate_delay,
     lorenz_generate,
 )
+from phaseshape.models import BUNDLED
 
 
 def ascii_scatter(xs, ys, width=64, height=22):
@@ -48,7 +48,7 @@ def main():
     # The x channel decorrelates very slowly, so the first zero crossing
     # lands past a full orbit and smears the reconstruction. The bundled
     # experiments therefore pin a much shorter working delay per system.
-    tau = DEFAULT_DELAYS["lorenz"]
+    tau = BUNDLED["lorenz"].default_tau
     print(f"using the conventional working delay instead: tau = {tau}")
 
     ps = delay_embed(x, EmbeddingParams(m=3, tau=tau))

@@ -31,7 +31,6 @@ from .shapes import (
     ShapeDistribution,
     build_histogram,
     channel_distributions,
-    exhaustive_d2,
     feature_vector,
     resolve_config,
     sample_shape,
@@ -53,14 +52,11 @@ from .classify import (
     ConfusionMatrix,
     LabeledFeature,
     NNResult,
-    chi2_distance,
     distances,
-    l2_distance,
     loocv,
     nn_classify,
 )
 from .experiments import (
-    DEFAULT_DELAYS,
     ExperimentReport,
     Instance,
     classification_experiment,
@@ -98,7 +94,6 @@ __all__ = [
     "sample_shape",
     "build_histogram",
     "shape_distribution",
-    "exhaustive_d2",
     "channel_distributions",
     "feature_vector",
     "LLEConfig",
@@ -115,13 +110,10 @@ __all__ = [
     "NNResult",
     "ConfusionMatrix",
     "distances",
-    "l2_distance",
-    "chi2_distance",
     "nn_classify",
     "loocv",
     "ExperimentReport",
     "Instance",
-    "DEFAULT_DELAYS",
     "generate_system",
     "synthetic_instances",
     "stability_experiment",

@@ -19,8 +19,6 @@ __all__ = [
     "NNResult",
     "ConfusionMatrix",
     "distances",
-    "l2_distance",
-    "chi2_distance",
     "METRICS",
     "nn_classify",
     "loocv",
@@ -43,9 +41,10 @@ def _metric_name(metric) -> str:
 def distances(vector, vectors, metric: str) -> np.ndarray:
     """Chi2 or l2 (case-insensitive) distances from one vector to K others.
 
-    Each of the K entries equals the two-vector formula bit for bit: rows of
-    a C-contiguous stack are summed alike, and l2 is the root of a dot
-    product, as in ``np.linalg.norm``.
+    Chi2 is 0.5 * sum (a-b)^2 / (a+b+1e-12) over nonnegative entries (a
+    negative one could make the denominator vanish or flip sign). Each entry
+    equals the one-pair formula bit for bit: stacked rows are summed alike,
+    and l2 is the root of a dot product, as in ``np.linalg.norm``.
     """
     name = _metric_name(metric)
     v = np.asarray(vector, dtype=float)
@@ -64,20 +63,6 @@ def distances(vector, vectors, metric: str) -> np.ndarray:
     if (v < 0).any() or (others < 0).any():
         raise ValidationError("chi2 distance requires nonnegative entries")
     return 0.5 * np.sum((v - others) ** 2 / (v + others + CHI2_EPS), axis=1)
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    return float(distances(a, [b], "l2")[0])
-
-
-def chi2_distance(a, b) -> float:
-    """Symmetric chi-square distance 0.5 * sum (a-b)^2 / (a+b+1e-12).
-
-    Intended for nonnegative histogram masses; negative entries are
-    rejected because the denominator could vanish or flip sign.
-    """
-    return float(distances(a, [b], "chi2")[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -197,7 +197,7 @@ def cmd_chaos(args) -> int:
     for ci, (ch, (_, cv)) in enumerate(zip(series.channels, results)):
         if cv.low_r2:
             print(
-                f"warning: channel {ci} ({ch.name}): divergence fit R^2 "
+                f"warning: channel {ci}{f' ({ch.name})' if ch.name else ''}: divergence fit R^2 "
                 f"{cv.r2:.4f} is below {LOW_R2_THRESHOLD}; lambda1 may be unreliable",
                 file=sys.stderr,
             )

@@ -69,32 +69,6 @@ class PhaseSpace:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def source_len(self) -> int:
-        """Length N of the originating series, P + (m-1)*tau."""
-        return len(self) + (self.params.m - 1) * self.params.tau
-
-    @property
-    def time_index(self) -> np.ndarray:
-        """Start index of each delay vector (0-based), shape (P,)."""
-        return np.arange(len(self))
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @classmethod
-    def from_points(cls, points) -> "PhaseSpace":
-        """Wrap a raw (P, m) point cloud, e.g. synthetic test geometry.
-
-        The cloud is treated as an embedding with tau=1 of a notional
-        source of length P + m - 1, so all container invariants hold.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError(f"points must be a non-empty 2-D array, got shape {pts.shape}")
-        return cls(points=pts, params=EmbeddingParams(m=pts.shape[1], tau=1))
-
 
 def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarray:
     """Biased, mean-removed, normalized autocorrelation at lags 0..max_lag.
@@ -104,7 +78,7 @@ def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarra
     series : TimeSeries
         Must have nonzero variance.
     max_lag : int, optional
-        Largest lag. Defaults to N // 4. Must satisfy 1 <= max_lag < N.
+        Largest lag, 1 <= max_lag < N. Defaults to N // 4, for N >= 4.
 
     Returns
     -------
@@ -114,6 +88,8 @@ def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarra
     """
     x = series.samples
     n = x.size
+    if max_lag is None and n < 4:
+        raise ValidationError(f"series too short to estimate a delay: {n} samples, need at least 4")
     max_lag = n // 4 if max_lag is None else check_int("max_lag", max_lag, 1)
     if not 1 <= max_lag < n:
         raise ValidationError(f"max_lag must be in [1, N), got {max_lag} for N={n}")

@@ -28,7 +28,6 @@ from .shapes import ShapeConfig, channel_distributions, feature_vector
 __all__ = [
     "ExperimentReport",
     "Instance",
-    "DEFAULT_DELAYS",
     "LENGTH_RANGES",
     "SYSTEMS",
     "generate_system",
@@ -40,9 +39,7 @@ __all__ = [
 
 # In BUNDLED order; a system's index here is its synthetic seed key.
 SYSTEMS = tuple(BUNDLED)
-
-# Exports derived from BUNDLED, for callers that index by system name.
-DEFAULT_DELAYS = {s: cls.default_tau for s, cls in BUNDLED.items()}
+# Derived from BUNDLED, for callers that index by system name.
 LENGTH_RANGES = {s: cls.length_range for s, cls in BUNDLED.items()}
 
 

@@ -127,10 +127,6 @@ class MultiSeries:
         """Return the same channels carrying a different label."""
         return MultiSeries(self.channels, label=label)
 
-    def to_array(self) -> np.ndarray:
-        """Stack channels into an (n, channels) array, one column per channel."""
-        return np.column_stack([ch.samples for ch in self.channels])
-
 
 def _parses_numeric(cell: str) -> bool:
     try:
@@ -205,14 +201,16 @@ def write_csv(series: MultiSeries, path) -> None:
     """Write a MultiSeries as CSV, one column per channel.
 
     Values are emitted with 17 significant digits so that a load after a
-    write reproduces every float bitwise. A header row of channel names is
-    written only when every channel is named.
+    write reproduces every float bitwise. A header row of names is written
+    when every channel is named; names that all parse as numbers are refused.
     """
     if not isinstance(series, MultiSeries):
         raise ValidationError(f"expected a MultiSeries, got {type(series).__name__}")
     p = Path(path)
     cols = [ch.samples for ch in series.channels]
     named = all(ch.name is not None for ch in series.channels)
+    if named and all(_parses_numeric(ch.name) for ch in series.channels):
+        raise ValidationError("channel names that all parse as numbers would read back as data")
     try:
         with p.open("w", newline="\n") as fh:
             if named:

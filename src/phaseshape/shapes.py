@@ -27,7 +27,6 @@ __all__ = [
     "sample_shape",
     "build_histogram",
     "shape_distribution",
-    "exhaustive_d2",
     "channel_distributions",
     "feature_vector",
     "KINDS",
@@ -36,9 +35,6 @@ __all__ = [
 
 KINDS = ("D1", "D2", "D3", "DT1", "DT2")
 NORMALIZATIONS = ("mean-normalized", "raw-range")
-
-# Guard for the exhaustive pair enumeration (P*(P-1)/2 distances).
-EXHAUSTIVE_MAX_POINTS = 5000
 
 # Upper edge of the mean-normalized histogram; samples are clamped here.
 MEAN_NORM_TOP = 4.0
@@ -278,25 +274,6 @@ def shape_distribution(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution
     the seed; the returned config echo carries the resolved delta/gamma."""
     cfg = resolve_config(ps, config)
     return build_histogram(sample_shape(ps, cfg), cfg)
-
-
-def exhaustive_d2(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:
-    """D2 histogram over ALL unordered distinct point pairs.
-
-    Serves as the sampling oracle: the sampled D2 distribution converges to
-    this one as n_samples grows. Guarded to at most 5000 points.
-    """
-    from scipy.spatial.distance import pdist
-
-    p = len(ps.points)
-    if p < 2:
-        raise ValidationError(f"need at least 2 points for pair distances, got {p}")
-    if p > EXHAUSTIVE_MAX_POINTS:
-        raise ValidationError(
-            f"exhaustive enumeration guarded to {EXHAUSTIVE_MAX_POINTS} points, got {p}"
-        )
-    cfg = replace(resolve_config(ps, config), kind="D2")
-    return build_histogram(pdist(ps.points), cfg)
 
 
 def channel_distributions(

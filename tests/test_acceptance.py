@@ -17,7 +17,6 @@ from phaseshape import (
     classification_experiment,
     delay_embed,
     estimate_delay,
-    exhaustive_d2,
     lle_rosenstein,
     lorenz_generate,
     resolve_config,
@@ -29,6 +28,8 @@ from phaseshape import (
     synthetic_instances,
     TimeSeries,
 )
+
+from oracles import exhaustive_d2
 
 LORENZ_EMBED = EmbeddingParams(m=3, tau=11)
 ROSSLER_EMBED = EmbeddingParams(m=3, tau=8)

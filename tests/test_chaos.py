@@ -10,7 +10,6 @@ from phaseshape import (
     EmbeddingParams,
     LLEConfig,
     NumericalError,
-    PhaseSpace,
     TimeSeries,
     ValidationError,
     attractor_diameter,
@@ -23,6 +22,8 @@ from phaseshape import (
     divergence_curve,
     lle_rosenstein,
 )
+
+from oracles import cloud
 
 
 def _lorenz_ps(series):
@@ -90,7 +91,7 @@ class TestDefaultConfig:
         # Constant first coordinate has no spectral content; the windows
         # fall back to multiples of tau.
         pts = np.column_stack([np.ones(200), np.arange(200.0)])
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         cfg = default_lle_config(ps)
         assert cfg.theiler == 4
         assert cfg.k_max == 12
@@ -98,12 +99,12 @@ class TestDefaultConfig:
 
 class TestDivergenceCurve:
     def test_precondition(self):
-        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(10, 2)))
+        ps = cloud(np.random.default_rng(0).normal(size=(10, 2)))
         with pytest.raises(ValidationError, match="theiler \\+ k_max"):
             divergence_curve(ps, LLEConfig(theiler=3, k_max=6))
 
     def test_no_admissible_neighbor(self):
-        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(9, 2)))
+        ps = cloud(np.random.default_rng(0).normal(size=(9, 2)))
         with pytest.raises(ValidationError, match="no admissible neighbor"):
             divergence_curve(ps, LLEConfig(theiler=4, k_max=3))
 
@@ -168,7 +169,7 @@ class TestLLE:
         # Coarse ramp with tail copies of a few anchors: every close pair
         # involves a late index, so tracking dies before k_max.
         x = np.concatenate([np.arange(16.0), [3.001, 9.001, 12.001, 6.001]])
-        ps = PhaseSpace.from_points(x[:, None])
+        ps = cloud(x[:, None])
         assert len(divergence_curve(ps, LLEConfig(theiler=6, k_max=8))) == 7
         with pytest.raises(ValidationError, match="exceeds curve length"):
             lle_rosenstein(ps, LLEConfig(theiler=6, k_max=8, fit_range=(0, 7)))
@@ -179,7 +180,7 @@ class TestLLE:
         # identically zero and carries no slope.
         i = np.arange(15)
         x = i / 4.0 + np.array([0.0, 0.0625, 0.125, 0.0625])[i % 4]
-        ps = PhaseSpace.from_points(x[:, None])
+        ps = cloud(x[:, None])
         curve = divergence_curve(ps, LLEConfig(theiler=3, k_max=10))
         assert (curve == 0.0).all()
         with pytest.raises(NumericalError, match="constant over the fit range"):
@@ -205,7 +206,7 @@ class TestLLE:
 
 class TestCorrelationIntegral:
     def _triangle(self):
-        return PhaseSpace.from_points(
+        return cloud(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
         )
 
@@ -224,7 +225,7 @@ class TestCorrelationIntegral:
         assert np.array_equal(c, [0.0, 1.0, 1.0])
 
     def test_theiler_excludes_close_pairs(self):
-        quad = PhaseSpace.from_points(np.array([[0.0], [1.0], [2.0], [3.0]]))
+        quad = cloud(np.array([[0.0], [1.0], [2.0], [3.0]]))
         # theiler=1 keeps pairs (0,2), (0,3), (1,3): distances 2, 3, 2
         assert correlation_integral(quad, 1.9, theiler=1) == 0.0
         assert correlation_integral(quad, 2.0, theiler=1) == pytest.approx(2.0 / 3.0)
@@ -251,7 +252,7 @@ class TestCorrelationIntegral:
 class TestCorrelationDimension:
     def test_line_near_one(self):
         t = np.random.default_rng(21).uniform(0.0, 1.0, 1500)
-        ps = PhaseSpace.from_points(np.column_stack([t, 2 * t, -t]))
+        ps = cloud(np.column_stack([t, 2 * t, -t]))
         ext = float(np.linalg.norm(np.ptp(ps.points, axis=0)))
         d = correlation_dimension(ps, radii=np.geomspace(0.01 * ext, 0.2 * ext, 8))
         assert d == pytest.approx(0.9712, abs=1e-3)
@@ -259,7 +260,7 @@ class TestCorrelationDimension:
 
     def test_plane_near_two(self):
         pts = np.random.default_rng(22).uniform(0.0, 1.0, (1500, 2))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         ext = float(np.linalg.norm(np.ptp(pts, axis=0)))
         d = correlation_dimension(ps, radii=np.geomspace(0.01 * ext, 0.2 * ext, 8))
         assert d == pytest.approx(1.9353, abs=1e-3)
@@ -268,32 +269,32 @@ class TestCorrelationDimension:
     def test_lorenz_scaling_region(self, lorenz_default):
         ps = _lorenz_ps(lorenz_default)
         dia = attractor_diameter(ps)
-        sub = PhaseSpace.from_points(ps.points[::2])
+        sub = cloud(ps.points[::2])
         d = correlation_dimension(sub, radii=np.geomspace(0.01 * dia, 0.1 * dia, 8), theiler=49)
         assert d == pytest.approx(1.9727, abs=1e-3)
         assert 1.80 < d < 2.30
 
     def test_insufficient_usable_radii(self):
-        tri = PhaseSpace.from_points(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]))
+        tri = cloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]]))
         with pytest.raises(NumericalError, match="at least 3"):
             correlation_dimension(tri, radii=[2.0, 3.0, 4.0])
 
     def test_radii_validation(self):
-        ps = PhaseSpace.from_points(np.random.default_rng(3).normal(size=(50, 2)))
+        ps = cloud(np.random.default_rng(3).normal(size=(50, 2)))
         with pytest.raises(ValidationError):
             correlation_dimension(ps, radii=[1.0, 2.0])
         with pytest.raises(ValidationError):
             correlation_dimension(ps, radii=[0.0, 1.0, 2.0])
 
     def test_coincident_cloud_rejected(self):
-        ps = PhaseSpace.from_points(np.zeros((20, 2)))
+        ps = cloud(np.zeros((20, 2)))
         with pytest.raises(ValidationError, match="coincide"):
             correlation_dimension(ps)
 
     @pytest.mark.parametrize("theiler", [-5, 2.7, True])
     @pytest.mark.parametrize("radii", [None, [0.5, 1.0, 2.0]])
     def test_bad_theiler_rejected(self, theiler, radii):
-        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(300, 2)))
+        ps = cloud(np.random.default_rng(0).normal(size=(300, 2)))
         with pytest.raises(ValidationError, match="theiler must be an integer"):
             correlation_dimension(ps, radii=radii, theiler=theiler)
 
@@ -303,7 +304,7 @@ class TestCorrelationDimension:
             raise AssertionError("diameter pass ran before the theiler check")
 
         monkeypatch.setattr(chaos, "attractor_diameter", no_pass)
-        ps = PhaseSpace.from_points(np.random.default_rng(0).normal(size=(300, 2)))
+        ps = cloud(np.random.default_rng(0).normal(size=(300, 2)))
         with pytest.raises(ValidationError, match="theiler"):
             correlation_dimension(ps, theiler=theiler)
 
@@ -320,16 +321,16 @@ def _traced_peak(fn, *args) -> int:
 class TestAttractorDiameter:
     def test_known_cloud(self):
         pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-        assert attractor_diameter(PhaseSpace.from_points(pts)) == 5.0
+        assert attractor_diameter(cloud(pts)) == 5.0
 
     def test_memory_bounded_by_block_budget(self):
         # 3000 rows of 3 coordinates: 1000-row blocks would take 72 MB here.
-        ps = PhaseSpace.from_points(np.random.default_rng(5).normal(size=(3000, 3)))
+        ps = cloud(np.random.default_rng(5).normal(size=(3000, 3)))
         assert _traced_peak(attractor_diameter, ps) <= 2 * chaos.BLOCK_BYTES
 
     def test_pair_fractions_memory_bounded_by_block_budget(self):
         # C(r) below the diameter is one dense pass over the same blocks.
-        ps = PhaseSpace.from_points(np.random.default_rng(5).normal(size=(3000, 3)))
+        ps = cloud(np.random.default_rng(5).normal(size=(3000, 3)))
         radii, dia = chaos._default_radii(ps)
         peak = _traced_peak(chaos._pair_fractions, ps.points, radii, 10, dia)
         assert peak <= 2 * chaos.BLOCK_BYTES
@@ -527,7 +528,7 @@ class TestDistanceBlocksOracle:
     @settings(deadline=None, max_examples=100)
     def test_attractor_diameter(self, pts):
         expect = max(_pair_distance(a, b) for a in pts for b in pts)
-        assert attractor_diameter(PhaseSpace.from_points(pts)) == expect
+        assert attractor_diameter(cloud(pts)) == expect
 
     @given(_clouds(min_m=8))
     @settings(deadline=None, max_examples=50)
@@ -535,7 +536,7 @@ class TestDistanceBlocksOracle:
         # The radii ladder ends at the diameter, where C(r) must be exactly 1
         # whether the caller passes the diameter or the dense pass counts it.
         assume(len(pts) >= 3)
-        dia = attractor_diameter(PhaseSpace.from_points(pts))
+        dia = attractor_diameter(cloud(pts))
         for _ in _budgets(pts):
             assert chaos._pair_fractions(pts, [dia], 0, dia).tolist() == [1.0]
             assert chaos._pair_fractions(pts, [dia], 0).tolist() == [1.0]
@@ -568,7 +569,7 @@ class TestDistanceBlocksOracle:
         # One dense pass per call when a radius lies below the diameter,
         # none when every radius is at least the diameter.
         pts = np.random.default_rng(3).normal(size=(60, 3))
-        dia = attractor_diameter(PhaseSpace.from_points(pts))
+        dia = attractor_diameter(cloud(pts))
         dense = chaos._distance_blocks
         calls = []
         monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
@@ -597,7 +598,7 @@ class TestDistanceBlocksOracle:
     def test_divergence_curve(self, pts, theiler, k_max):
         nn = _oracle_neighbors(pts, theiler)
         assume(None not in nn and len(pts) > theiler + k_max + 1)
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         got = divergence_curve(ps, LLEConfig(theiler=theiler, k_max=k_max)).tolist()
         assert got == _oracle_curve(pts, nn, k_max)
 

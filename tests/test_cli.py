@@ -251,6 +251,15 @@ class TestChaos:
         err = capsys.readouterr().err
         assert "below 0.95" in err
 
+    def test_low_r2_warning_unnamed_channel(self, tmp_path, capsys):
+        # A headerless CSV has no channel names; the warning shows none.
+        path = tmp_path / "noise.csv"
+        write_csv(MultiSeries((TimeSeries(np.random.default_rng(0).normal(size=1500)),)), path)
+        assert main(["chaos", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: channel 0: divergence fit R^2 0.3998 is below 0.95" in err
+        assert "None" not in err
+
     def test_constant_input(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         write_csv(MultiSeries((TimeSeries(np.full(300, 2.0), name="x"),)), path)

@@ -16,6 +16,8 @@ from phaseshape import (
 from phaseshape.embedding import DelayEstimate, _resolve_delay, per_channel
 from phaseshape.models import BUNDLED
 
+from oracles import cloud
+
 
 def _acf_direct(x, max_lag):
     """Brute-force biased autocorrelation for cross-checking the FFT path."""
@@ -42,10 +44,10 @@ class TestDelayEmbed:
     def test_small_example(self):
         ps = delay_embed(TimeSeries(np.arange(8.0)), EmbeddingParams(m=3, tau=2))
         assert len(ps) == 4
-        assert ps.dimension == 3
+        assert ps.points.shape == (4, 3)
         assert (ps.points[0] == [0, 2, 4]).all()
         assert (ps.points[3] == [3, 5, 7]).all()
-        assert (ps.time_index == [0, 1, 2, 3]).all()
+        assert (ps.points[:, 0] == [0, 1, 2, 3]).all()  # point k starts at time k
 
     def test_point_count_invariant(self):
         x = TimeSeries(np.random.default_rng(0).normal(size=100))
@@ -53,7 +55,7 @@ class TestDelayEmbed:
             for tau in (1, 3, 7):
                 ps = delay_embed(x, EmbeddingParams(m=m, tau=tau))
                 assert len(ps) == 100 - (m - 1) * tau
-                assert ps.source_len == 100
+                assert ps.points.shape == (len(ps), m)
 
     def test_m1_is_column_vector(self):
         x = TimeSeries([1.0, 2.0, 3.0])
@@ -74,11 +76,11 @@ class TestDelayEmbed:
 class TestPhaseSpace:
     def test_from_points(self):
         pts = np.random.default_rng(1).normal(size=(20, 3))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         assert len(ps) == 20
-        assert ps.dimension == 3
-        assert (ps.time_index == np.arange(20)).all()
-        assert ps.source_len == 22
+        assert ps.points.shape == (20, 3)
+        assert ps.params == EmbeddingParams(3, 1)
+        assert (ps.points == pts).all()
 
     def test_dimension_checked(self):
         with pytest.raises(ValidationError, match="dimension 2, expected m=3"):
@@ -88,13 +90,13 @@ class TestPhaseSpace:
         with pytest.raises(ValidationError, match="non-empty"):
             PhaseSpace(np.zeros((0, 3)), EmbeddingParams(3, 2))
         with pytest.raises(ValidationError, match="non-empty"):
-            PhaseSpace.from_points(np.zeros((0, 2)))
+            PhaseSpace(np.zeros((0, 2)), EmbeddingParams(2, 1))
 
     def test_non_finite_rejected(self):
         pts = np.zeros((4, 2))
         pts[2, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            PhaseSpace.from_points(pts)
+            PhaseSpace(pts, EmbeddingParams(2, 1))
 
 
 class TestAutocorrelation:
@@ -162,6 +164,17 @@ class TestEstimateDelay:
         est = estimate_delay(x)
         assert est.tau == 1
         assert est.method == "zero-crossing"
+
+    def test_short_series_needs_four_samples(self):
+        # The default N // 4 window is empty below 4 samples
+        for n in (2, 3):
+            x = TimeSeries(np.arange(float(n)))
+            with pytest.raises(ValidationError, match="too short to estimate a delay"):
+                estimate_delay(x)
+        assert estimate_delay(TimeSeries([1.0, -1.0, 1.0, -1.0])).tau == 1
+        # an explicit window keeps its own bounds message
+        with pytest.raises(ValidationError, match=r"max_lag must be in \[1, N\), got 3 for N=3"):
+            autocorrelation(TimeSeries([1.0, 2.0, 4.0]), max_lag=3)
 
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from phaseshape import (
-    DEFAULT_DELAYS,
     GenConfig,
     Instance,
     LorenzParams,
@@ -272,9 +271,8 @@ class TestOneSourcePerSystem:
         assert [i.series.n for i in lorenz] == [600, 600, 600]
 
     def test_derived_exports(self):
-        assert DEFAULT_DELAYS == {s: cls.default_tau for s, cls in BUNDLED.items()}
         assert experiments.LENGTH_RANGES == {s: cls.length_range for s, cls in BUNDLED.items()}
-        assert DEFAULT_DELAYS == {"lorenz": 11, "rossler": 8}
+        assert {s: cls.default_tau for s, cls in BUNDLED.items()} == {"lorenz": 11, "rossler": 8}
 
 
 class TestClassification:

@@ -17,6 +17,11 @@ from phaseshape import models
 from phaseshape.models import BUNDLED, generate_system
 
 
+def _stack(ms):
+    """An (n, channels) array, one column per channel."""
+    return np.column_stack([ch.samples for ch in ms.channels])
+
+
 class TestParams:
     def test_lorenz_defaults(self):
         p = LorenzParams()
@@ -158,7 +163,7 @@ class TestBatch:
         for got, config in zip(models._generate(system, configs), configs):
             want = generate_system(system, config)
             assert (got.n, got.dt, got.label) == (want.n, want.dt, want.label)
-            assert np.array_equal(got.to_array(), want.to_array())
+            assert np.array_equal(_stack(got), _stack(want))
 
     def test_batch_needs_one_dt(self):
         with pytest.raises(ValidationError, match="one dt"):
@@ -207,24 +212,24 @@ class TestLorenz:
         assert ms.label == "lorenz"
 
     def test_default_trajectory_bounded(self, lorenz_default):
-        assert np.abs(lorenz_default.to_array()).max() < 80.0
+        assert np.abs(_stack(lorenz_default)).max() < 80.0
 
     def test_transient_is_a_prefix_drop(self):
         full = lorenz_generate(GenConfig(n=1100, transient=0))
         trimmed = lorenz_generate(GenConfig(n=100, transient=1000))
-        assert (trimmed.to_array() == full.to_array()[1000:]).all()
+        assert (_stack(trimmed) == _stack(full)[1000:]).all()
 
     def test_seed_draws_ic_from_box(self):
         a = lorenz_generate(GenConfig(n=10, transient=0, seed=3))
         ic = np.random.default_rng(3).uniform(*LorenzParams.ic_box)
-        assert (a.to_array()[0] == ic).all()
+        assert (_stack(a)[0] == ic).all()
 
     def test_seed_reproducible_and_distinct(self):
         a = lorenz_generate(GenConfig(n=50, seed=1))
         b = lorenz_generate(GenConfig(n=50, seed=1))
         c = lorenz_generate(GenConfig(n=50, seed=2))
-        assert (a.to_array() == b.to_array()).all()
-        assert not (a.to_array() == c.to_array()).all()
+        assert (_stack(a) == _stack(b)).all()
+        assert not (_stack(a) == _stack(c)).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_large_step_diverges_cleanly(self):
@@ -241,7 +246,7 @@ class TestRossler:
     def test_seed_draws_ic_from_box(self):
         a = rossler_generate(GenConfig(n=10, transient=0, seed=9))
         ic = np.random.default_rng(9).uniform(*RosslerParams.ic_box)
-        assert (a.to_array()[0] == ic).all()
+        assert (_stack(a)[0] == ic).all()
         assert 0.0 <= ic[2] <= 5.0
 
     def test_zero_a_b_reduces_to_circle(self):
@@ -251,7 +256,7 @@ class TestRossler:
             GenConfig(n=101, dt=0.05, transient=0, ic=(1.0, 0.0, 0.0)),
             RosslerParams(a=0.0, b=0.0, c=10.0),
         )
-        arr = ms.to_array()
+        arr = _stack(ms)
         assert np.abs(arr[:, 2]).max() == 0.0
         radius_err = np.abs(arr[:, 0] ** 2 + arr[:, 1] ** 2 - 1.0)
         assert radius_err.max() < 1e-6

@@ -66,7 +66,7 @@ class TestMultiSeries:
         assert ms.dt == 0.1
         assert len(ms) == 2
         assert ms.label == "demo"
-        arr = ms.to_array()
+        arr = np.column_stack([ch.samples for ch in ms.channels])
         assert arr.shape == (3, 2)
         assert arr[0, 1] == 4.0
 
@@ -128,6 +128,20 @@ class TestCsvRoundTrip:
         write_csv(ms, path)
         assert path.read_text().splitlines()[0] == '"a,b","say ""c"""'
         assert [ch.name for ch in load_csv(path).channels] == names
+
+    def test_all_numeric_names_refused(self, tmp_path):
+        # load_csv would read a header of "1","2" as a data row
+        ms = MultiSeries(tuple(TimeSeries([1.0, 2.0, 3.0], name=nm) for nm in ("1", "2")))
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValidationError, match="parse as numbers"):
+            write_csv(ms, path)
+        assert not path.exists()
+        # one non-numeric name makes the row a header again
+        ms = MultiSeries(tuple(TimeSeries([1.0, 2.0, 3.0], name=nm) for nm in ("1", "y")))
+        write_csv(ms, path)
+        back = load_csv(path)
+        assert back.n == 3
+        assert [ch.name for ch in back.channels] == ["1", "y"]
 
     def test_header_written_only_when_all_named(self, tmp_path):
         ms = MultiSeries((TimeSeries([1.0, 2.0], name="x"), TimeSeries([3.0, 4.0])))

@@ -5,7 +5,6 @@ from phaseshape import (
     EmbeddingParams,
     GenConfig,
     MultiSeries,
-    PhaseSpace,
     ShapeConfig,
     ShapeDistribution,
     TimeSeries,
@@ -14,7 +13,6 @@ from phaseshape import (
     channel_distributions,
     delay_embed,
     estimate_delay,
-    exhaustive_d2,
     feature_vector,
     lorenz_generate,
     resolve_config,
@@ -22,10 +20,12 @@ from phaseshape import (
     shape_distribution,
 )
 
+from oracles import cloud, exhaustive_d2
+
 
 def _square_ps():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    return PhaseSpace.from_points(pts)
+    return cloud(pts)
 
 
 class TestShapeConfig:
@@ -144,7 +144,7 @@ class TestSampling:
 
     def test_d2_draws_distinct_pairs(self):
         # Two points only: every sampled distance is the single pair distance
-        ps = PhaseSpace.from_points(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        ps = cloud(np.array([[0.0, 0.0], [3.0, 4.0]]))
         c = resolve_config(ps, ShapeConfig(n_samples=1000))
         s = sample_shape(ps, c)
         assert (s == 5.0).all()
@@ -160,7 +160,7 @@ class TestSampling:
         # Three points give one distinct triangle; its root area must agree
         # with the cross-product formula.
         pts = np.random.default_rng(7).normal(size=(3, 3))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         c = resolve_config(ps, ShapeConfig(kind="D3", n_samples=200))
         s = sample_shape(ps, c)
         v1, v2 = pts[1] - pts[0], pts[2] - pts[0]
@@ -169,7 +169,7 @@ class TestSampling:
 
     def test_d3_many_triangles_nonnegative(self):
         pts = np.random.default_rng(8).normal(size=(40, 3))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         s = sample_shape(ps, resolve_config(ps, ShapeConfig(kind="D3", n_samples=2000)))
         assert (s >= 0).all() and np.isfinite(s).all()
 
@@ -177,7 +177,7 @@ class TestSampling:
         # Distance-coded positions: |x_i - x_j| identifies the index offset,
         # so sampled distances reveal which pairs were drawn.
         pos = 4.0 ** np.arange(8)
-        ps = PhaseSpace.from_points(pos[:, None])
+        ps = cloud(pos[:, None])
         delta = 3
         c = ShapeConfig(kind="DT1", n_samples=4000, delta=delta, seed=3)
         c = resolve_config(ps, c)
@@ -191,7 +191,7 @@ class TestSampling:
 
     def test_dt1_uniform_over_admissible_pairs(self):
         pos = 4.0 ** np.arange(6)
-        ps = PhaseSpace.from_points(pos[:, None])
+        ps = cloud(pos[:, None])
         delta = 2
         c = resolve_config(ps, ShapeConfig(kind="DT1", n_samples=90000, delta=delta, seed=0))
         s = sample_shape(ps, c)
@@ -206,7 +206,7 @@ class TestSampling:
 
     def test_dt1_wide_window_matches_d2_support(self):
         pos = 4.0 ** np.arange(6)
-        ps = PhaseSpace.from_points(pos[:, None])
+        ps = cloud(pos[:, None])
         c = resolve_config(ps, ShapeConfig(kind="DT1", n_samples=5000, delta=5, seed=1))
         s = set(np.unique(sample_shape(ps, c)))
         all_pairs = {abs(pos[i] - pos[j]) for i in range(6) for j in range(i + 1, 6)}
@@ -214,7 +214,7 @@ class TestSampling:
 
     def test_dt2_gamma_zero_equals_d2(self):
         pts = np.random.default_rng(11).normal(size=(60, 3))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         d2 = sample_shape(ps, resolve_config(ps, ShapeConfig(kind="D2", n_samples=3000, seed=4)))
         dt2 = sample_shape(
             ps, resolve_config(ps, ShapeConfig(kind="DT2", n_samples=3000, gamma=0.0, seed=4))
@@ -223,7 +223,7 @@ class TestSampling:
 
     def test_dt2_damping_bounds_d2(self):
         pts = np.random.default_rng(12).normal(size=(60, 3))
-        ps = PhaseSpace.from_points(pts)
+        ps = cloud(pts)
         d2 = sample_shape(ps, resolve_config(ps, ShapeConfig(kind="D2", n_samples=3000, seed=4)))
         dt2 = sample_shape(
             ps, resolve_config(ps, ShapeConfig(kind="DT2", n_samples=3000, gamma=0.5, seed=4))
@@ -231,10 +231,10 @@ class TestSampling:
         assert (dt2 <= d2 + 1e-15).all()
 
     def test_too_few_points(self):
-        one = PhaseSpace.from_points(np.array([[1.0, 2.0]]))
+        one = cloud(np.array([[1.0, 2.0]]))
         with pytest.raises(ValidationError):
             sample_shape(one, resolve_config(one, ShapeConfig(n_samples=10)))
-        two = PhaseSpace.from_points(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        two = cloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
         with pytest.raises(ValidationError):
             sample_shape(two, resolve_config(two, ShapeConfig(kind="D3", n_samples=10)))
 
@@ -301,7 +301,7 @@ class TestShapeDistributionEndToEnd:
             assert dist.kind == kind
 
     def test_coincident_points_degenerate(self):
-        ps = PhaseSpace.from_points(np.zeros((30, 2)))
+        ps = cloud(np.zeros((30, 2)))
         dist = shape_distribution(ps, ShapeConfig(n_samples=500))
         assert dist.degenerate
         assert dist.mass[0] == 1.0
@@ -309,7 +309,7 @@ class TestShapeDistributionEndToEnd:
     def test_collinear_d3_degenerate(self):
         # Integer coordinates make the Gram determinant exactly zero
         t = np.arange(30.0)
-        ps = PhaseSpace.from_points(np.column_stack([t, 2 * t]))
+        ps = cloud(np.column_stack([t, 2 * t]))
         dist = shape_distribution(ps, ShapeConfig(kind="D3", n_samples=500))
         assert dist.degenerate
         assert dist.mass[0] == 1.0
@@ -317,7 +317,7 @@ class TestShapeDistributionEndToEnd:
 
 class TestExhaustiveD2:
     def test_two_points(self):
-        ps = PhaseSpace.from_points(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        ps = cloud(np.array([[0.0, 0.0], [3.0, 4.0]]))
         dist = exhaustive_d2(ps, ShapeConfig(bins=50))
         assert dist.mass[12] == 1.0
         assert dist.sample_count == 1
@@ -326,13 +326,6 @@ class TestExhaustiveD2:
         ps = _square_ps()
         dist = exhaustive_d2(ps, ShapeConfig(kind="D3"))
         assert dist.kind == "D2"
-
-    def test_point_budget_enforced(self):
-        pts = np.zeros((5001, 1))
-        pts[:, 0] = np.arange(5001)
-        ps = PhaseSpace.from_points(pts)
-        with pytest.raises(ValidationError, match="5000"):
-            exhaustive_d2(ps, ShapeConfig())
 
     def test_sampled_tracks_exhaustive(self, lorenz_default):
         ps = delay_embed(lorenz_default.prefix(800).channels[0], EmbeddingParams(3, 11))
