@@ -103,16 +103,21 @@ def _load_input(path: str, dt_flag: float | None):
     return load_csv(path, dt=dt_flag if dt_flag is not None else sidecar_dt(path))
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` and a final newline to ``path``; a failure is a data error."""
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
+
+
 def _emit(payload, out) -> None:
     """Write the payload as JSON to ``out``, or print it when no path is given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out is None:
         print(text)
         return
-    try:
-        Path(out).write_text(text + "\n")
-    except OSError as e:
-        raise ValidationError(f"cannot write {out}: {e}") from e
+    _write(out, text)
     print(f"wrote {out}")
 
 
@@ -254,22 +259,12 @@ def _fmt(value) -> str:
 
 def _write_stability_artifacts(report, out_dir: Path) -> list[Path]:
     """report.json, distances.csv, and one histogram CSV per instance."""
-    paths = []
-    rp = out_dir / "report.json"
-    try:
-        rp.write_text(report.to_json() + "\n")
-    except OSError as e:
-        raise ValidationError(f"cannot write {rp}: {e}") from e
-    paths.append(rp)
-
     order = report.artifacts["order"]
     dmat = np.asarray(report.artifacts["distance_matrix"], dtype=float)
     lines = ["id," + ",".join(order)]
     for name, row in zip(order, dmat):
         lines.append(name + "," + ",".join(f"{v:.17g}" for v in row))
-    dp = out_dir / "distances.csv"
-    dp.write_text("\n".join(lines) + "\n")
-    paths.append(dp)
+    files = {"report.json": report.to_json(), "distances.csv": "\n".join(lines)}
 
     for inst, name in zip(report.artifacts["instances"], order):
         chans = inst["channels"]
@@ -280,9 +275,11 @@ def _write_stability_artifacts(report, out_dir: Path) -> list[Path]:
             cells = [f"{edges[b]:.17g}", f"{edges[b + 1]:.17g}"]
             cells += [f"{ch['mass'][b]:.17g}" for ch in chans]
             rows.append(",".join(cells))
-        hp = out_dir / f"hist_{name}.csv"
-        hp.write_text("\n".join(rows) + "\n")
-        paths.append(hp)
+        files[f"hist_{name}.csv"] = "\n".join(rows)
+
+    paths = [out_dir / name for name in files]
+    for path, text in zip(paths, files.values()):
+        _write(path, text)
     return paths
 
 

@@ -202,7 +202,9 @@ def write_csv(series: MultiSeries, path) -> None:
 
     Values are emitted with 17 significant digits so that a load after a
     write reproduces every float bitwise. A header row of names is written
-    when every channel is named; names that all parse as numbers are refused.
+    when every channel is named; names that all parse as numbers, or that
+    have leading or trailing whitespace, are refused, because ``load_csv``
+    would read them back as data or stripped.
     """
     if not isinstance(series, MultiSeries):
         raise ValidationError(f"expected a MultiSeries, got {type(series).__name__}")
@@ -211,6 +213,9 @@ def write_csv(series: MultiSeries, path) -> None:
     named = all(ch.name is not None for ch in series.channels)
     if named and all(_parses_numeric(ch.name) for ch in series.channels):
         raise ValidationError("channel names that all parse as numbers would read back as data")
+    padded = [ch.name for ch in series.channels if named and ch.name != ch.name.strip()]
+    if padded:
+        raise ValidationError(f"channel name {padded[0]!r} would read back stripped")
     try:
         with p.open("w", newline="\n") as fh:
             if named:

@@ -12,7 +12,7 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ NORMALIZATIONS = ("mean-normalized", "raw-range")
 
 # Upper edge of the mean-normalized histogram; samples are clamped here.
 MEAN_NORM_TOP = 4.0
+
+# Fewest points each kind draws its distinct tuples from.
+MIN_POINTS = {"D1": 1, "D2": 2, "D3": 3, "DT1": 2, "DT2": 2}
 
 
 @dataclass(frozen=True)
@@ -93,16 +96,16 @@ class ShapeConfig:
 class ShapeDistribution:
     """A normalized B-bin histogram of shape-function samples.
 
-    ``mass`` sums to 1 and ``bin_edges`` are B+1 uniformly spaced values.
-    ``degenerate`` marks the all-zero-sample fallback, where the full mass
-    is placed in bin 0.
+    ``mass`` sums to 1 and ``bin_edges`` are B+1 uniformly spaced values;
+    ``config`` is the ``ShapeConfig`` the samples were drawn and binned
+    with. ``degenerate`` marks samples whose scale (mean or max) or bin
+    width is zero or subnormal: the full mass then sits in bin 0.
     """
 
     mass: np.ndarray
     bin_edges: np.ndarray
-    kind: str
     sample_count: int
-    config: dict
+    config: ShapeConfig
     degenerate: bool = False
 
     def __post_init__(self):
@@ -132,16 +135,17 @@ class ShapeDistribution:
 
     def to_dict(self) -> dict:
         """JSON-ready view: kind, bins, edges, mass, sample count, config."""
+        c = self.config
         return {
-            "kind": self.kind,
+            "kind": c.kind,
             "bins": int(self.bins),
             "edges": self.bin_edges.tolist(),
             "mass": self.mass.tolist(),
             "sample_count": int(self.sample_count),
-            "seed": self.config.get("seed"),
-            "normalization": self.config.get("normalization"),
-            "delta": self.config.get("delta"),
-            "gamma": self.config.get("gamma"),
+            "seed": c.seed,
+            "normalization": c.normalization,
+            "delta": c.delta,
+            "gamma": c.gamma,
             "degenerate": bool(self.degenerate),
         }
 
@@ -169,6 +173,9 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
     pts = ps.points
     p = len(pts)
     n = cfg.n_samples
+    need = MIN_POINTS[cfg.kind]
+    if p < need:
+        raise ValidationError(f"{cfg.kind} needs at least {need} points, got {p}")
     rng = np.random.default_rng(cfg.seed)
 
     if cfg.kind == "D1":
@@ -176,24 +183,20 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
         i = rng.integers(0, p, n)
         return np.linalg.norm(pts[i] - centroid, axis=1)
 
-    if cfg.kind in ("D2", "DT2"):
-        if p < 2:
-            raise ValidationError(f"{cfg.kind} needs at least 2 points, got {p}")
-        i = rng.integers(0, p, n)
-        j = rng.integers(0, p - 1, n)
-        j = j + (j >= i)  # distinct pair, uniform over ordered pairs
-        d = np.linalg.norm(pts[i] - pts[j], axis=1)
-        if cfg.kind == "D2":
-            return d
-        tsep = np.abs(i - j)
-        return np.exp(-cfg.gamma * tsep) * d
+    if cfg.kind == "DT1":
+        # Weight each admissible time offset by its pair count, then place
+        # the pair uniformly; this is exactly uniform over admissible pairs.
+        # delta >= 1 and p >= 2, so at least offset 1 is admissible.
+        offsets = np.arange(1, min(cfg.delta, p - 1) + 1)
+        weights = (p - offsets).astype(float)
+        ds = rng.choice(offsets, size=n, p=weights / weights.sum())
+        i = (rng.random(n) * (p - ds)).astype(np.int64)
+        return np.linalg.norm(pts[i] - pts[i + ds], axis=1)
 
+    i = rng.integers(0, p, n)
+    j = rng.integers(0, p - 1, n)
+    j = j + (j >= i)  # distinct pair, uniform over ordered pairs
     if cfg.kind == "D3":
-        if p < 3:
-            raise ValidationError(f"D3 needs at least 3 points, got {p}")
-        i = rng.integers(0, p, n)
-        j = rng.integers(0, p - 1, n)
-        j = j + (j >= i)
         lo = np.minimum(i, j)
         hi = np.maximum(i, j)
         k = rng.integers(0, p - 2, n)
@@ -205,19 +208,8 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
         gram = (v1 * v1).sum(axis=1) * (v2 * v2).sum(axis=1) - ((v1 * v2).sum(axis=1)) ** 2
         area = 0.5 * np.sqrt(np.maximum(gram, 0.0))
         return np.sqrt(area)
-
-    # DT1: weight each admissible time offset by its pair count, then place
-    # the pair uniformly; this is exactly uniform over admissible pairs.
-    if p < 2:
-        raise ValidationError(f"DT1 needs at least 2 points, got {p}")
-    dmax = min(cfg.delta, p - 1)
-    if dmax < 1:
-        raise ValidationError(f"DT1 window delta={cfg.delta} admits no pair")
-    offsets = np.arange(1, dmax + 1)
-    weights = (p - offsets).astype(float)
-    ds = rng.choice(offsets, size=n, p=weights / weights.sum())
-    i = (rng.random(n) * (p - ds)).astype(np.int64)
-    return np.linalg.norm(pts[i] - pts[i + ds], axis=1)
+    d = np.linalg.norm(pts[i] - pts[j], axis=1)
+    return d if cfg.kind == "D2" else np.exp(-cfg.gamma * np.abs(i - j)) * d
 
 
 def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
@@ -225,8 +217,9 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
 
     Under the mean-normalized policy the samples are divided by their mean
     and counted over B equal bins on [0, 4], clamping larger values into the
-    last bin. Under raw-range the bins span [0, max sample]. All-zero
-    samples cannot be mean-normalized; they produce full mass in bin 0 with
+    last bin. Under raw-range the bins span [0, max sample]. Samples whose
+    scale (mean or max) or bin width is zero or subnormal cannot be binned;
+    they are binned as zeros over [0, 4] or [0, 1], full mass in bin 0, with
     the ``degenerate`` flag set.
     """
     s = np.asarray(samples, dtype=float)
@@ -236,37 +229,17 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
         raise ValidationError("non-finite sample value")
     if (s < 0).any():
         raise ValidationError("negative sample value")
-    b = config.bins
-    degenerate = False
-    if config.normalization == "mean-normalized":
-        mu = s.mean()
-        if mu == 0.0:
-            edges = np.linspace(0.0, MEAN_NORM_TOP, b + 1)
-            mass = np.zeros(b)
-            mass[0] = 1.0
-            degenerate = True
-        else:
-            v = np.minimum(s / mu, MEAN_NORM_TOP)
-            counts, edges = np.histogram(v, bins=b, range=(0.0, MEAN_NORM_TOP))
-            mass = counts / counts.sum()
+    mean_norm = config.normalization == "mean-normalized"
+    scale = s.mean() if mean_norm else s.max()
+    top = MEAN_NORM_TOP if mean_norm else scale
+    # A zero or subnormal scale or bin width leaves too few bits to bin by
+    degenerate = bool(min(scale, top / config.bins) < np.finfo(float).tiny)
+    if degenerate:
+        v, top = np.zeros(s.size), (top if mean_norm else 1.0)
     else:
-        top = s.max()
-        if top == 0.0:
-            edges = np.linspace(0.0, 1.0, b + 1)
-            mass = np.zeros(b)
-            mass[0] = 1.0
-            degenerate = True
-        else:
-            counts, edges = np.histogram(s, bins=b, range=(0.0, top))
-            mass = counts / counts.sum()
-    return ShapeDistribution(
-        mass=mass,
-        bin_edges=edges,
-        kind=config.kind,
-        sample_count=int(s.size),
-        config=asdict(config),
-        degenerate=degenerate,
-    )
+        v = np.minimum(s / scale, top) if mean_norm else s
+    counts, edges = np.histogram(v, bins=config.bins, range=(0.0, top))
+    return ShapeDistribution(counts / counts.sum(), edges, int(s.size), config, degenerate)
 
 
 def shape_distribution(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:

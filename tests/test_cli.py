@@ -227,6 +227,22 @@ class TestFeatures:
                      "--samples", "300", "--bins", "20"]) == 0
         assert len(json.loads(capsys.readouterr().out)["vector"]) == 60
 
+    @pytest.mark.parametrize("gamma", ["740", "744"])
+    def test_raw_range_underflow_is_degenerate(self, tmp_path, capsys, gamma):
+        # exp(-gamma * tsep) underflows every DT2 sample below the normal
+        # range: no bin width can be built from the max, so each channel is
+        # the degenerate histogram instead of an error
+        path = tmp_path / "l.csv"
+        assert main(["gen-model", "lorenz", "--n", "2000", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["features", str(path), "--kind", "DT2", "--gamma", gamma,
+                     "--normalization", "raw-range", "--tau", "11"]) == 0
+        for ch in json.loads(capsys.readouterr().out)["channels"]:
+            dist = ch["distribution"]
+            assert dist["degenerate"] is True
+            assert dist["mass"][0] == 1.0
+            assert dist["edges"][-1] == 1.0
+
     def test_bad_kind_is_usage_error(self, rossler_csv):
         assert main(["features", str(rossler_csv), "--kind", "D7"]) == 1
 
@@ -304,6 +320,17 @@ class TestStability:
         assert len(lines) == 4
         for name in ("lorenz-500", "lorenz-700", "rossler-400"):
             assert (out_dir / f"hist_{name}.csv").exists()
+
+    @pytest.mark.parametrize("blocked", ["report.json", "distances.csv", "hist_lorenz-500.csv"])
+    def test_unwritable_artifact_named(self, tmp_path, capsys, blocked):
+        out_dir = tmp_path / "stab"
+        (out_dir / blocked).mkdir(parents=True)
+        rc = main(["stability", "--lorenz-lengths", "500", "--rossler-lengths", "",
+                   "--samples", "300", "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_dir / blocked}: ")
+        assert err.count("\n") == 1
 
     def test_single_length_prints_na(self, capsys):
         rc = main(["stability", "--lorenz-lengths", "500", "--rossler-lengths", "",

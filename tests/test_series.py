@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ class TestCsvRoundTrip:
         back = load_csv(path)
         assert back.n == 3
         assert [ch.name for ch in back.channels] == ["1", "y"]
+
+    @pytest.mark.parametrize("name", [" x", "y ", "\tz"])
+    def test_padded_names_refused(self, tmp_path, name):
+        # load_csv strips header cells, so a padded name would not round-trip
+        ms = MultiSeries((TimeSeries([1.0, 2.0], name="a"), TimeSeries([3.0, 4.0], name=name)))
+        path = tmp_path / "t.csv"
+        message = f"channel name {name!r} would read back stripped"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_csv(ms, path)
+        assert not path.exists()
+
+    def test_inner_spaces_round_trip(self, tmp_path):
+        names = ["x axis", "y  axis"]
+        ms = MultiSeries(tuple(TimeSeries([1.0, 2.0], name=nm) for nm in names))
+        path = tmp_path / "t.csv"
+        write_csv(ms, path)
+        assert [ch.name for ch in load_csv(path).channels] == names
 
     def test_header_written_only_when_all_named(self, tmp_path):
         ms = MultiSeries((TimeSeries([1.0, 2.0], name="x"), TimeSeries([3.0, 4.0])))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaseshape import (
     EmbeddingParams,
@@ -86,19 +87,17 @@ class TestShapeDistribution:
     def test_mass_must_sum_to_one(self):
         edges = np.linspace(0.0, 4.0, 3)
         with pytest.raises(ValidationError, match="sum"):
-            ShapeDistribution(
-                np.array([0.5, 0.4]), edges, "D2", 10, {"seed": 0}
-            )
+            ShapeDistribution(np.array([0.5, 0.4]), edges, 10, ShapeConfig())
 
     def test_negative_mass_rejected(self):
         edges = np.linspace(0.0, 4.0, 3)
         with pytest.raises(ValidationError):
-            ShapeDistribution(np.array([1.5, -0.5]), edges, "D2", 10, {})
+            ShapeDistribution(np.array([1.5, -0.5]), edges, 10, ShapeConfig())
 
     def test_edges_must_be_uniform(self):
         with pytest.raises(ValidationError, match="uniform"):
             ShapeDistribution(
-                np.array([0.5, 0.5]), np.array([0.0, 1.0, 4.0]), "D2", 10, {}
+                np.array([0.5, 0.5]), np.array([0.0, 1.0, 4.0]), 10, ShapeConfig()
             )
 
     def test_to_dict_keys(self):
@@ -230,13 +229,20 @@ class TestSampling:
         )
         assert (dt2 <= d2 + 1e-15).all()
 
-    def test_too_few_points(self):
+    @pytest.mark.parametrize(
+        "kind, p, need",
+        [("D2", 1, 2), ("D3", 1, 3), ("DT1", 1, 2), ("DT2", 1, 2), ("D3", 2, 3)],
+        ids=["D2-1", "D3-1", "DT1-1", "DT2-1", "D3-2"],
+    )
+    def test_too_few_points(self, kind, p, need):
+        ps = cloud(np.arange(2.0 * p).reshape(p, 2))
+        with pytest.raises(ValidationError, match=f"^{kind} needs at least {need} points, got {p}$"):
+            sample_shape(ps, resolve_config(ps, ShapeConfig(kind=kind, n_samples=10)))
+
+    def test_d1_single_point(self):
+        # D1 needs no distinct tuple: one point is its own centroid
         one = cloud(np.array([[1.0, 2.0]]))
-        with pytest.raises(ValidationError):
-            sample_shape(one, resolve_config(one, ShapeConfig(n_samples=10)))
-        two = cloud(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        with pytest.raises(ValidationError):
-            sample_shape(two, resolve_config(two, ShapeConfig(kind="D3", n_samples=10)))
+        assert (sample_shape(one, resolve_config(one, ShapeConfig(kind="D1", n_samples=10))) == 0).all()
 
 
 class TestHistogram:
@@ -281,6 +287,30 @@ class TestHistogram:
         assert dist.degenerate
         assert dist.mass[0] == 1.0
 
+    @pytest.mark.parametrize("normalization", ["mean-normalized", "raw-range"])
+    def test_subnormal_scale_degenerate(self, normalization):
+        # The mean (5e-324 / 4) rounds to 0 and the max is subnormal: neither
+        # can scale the bins, so both policies give the degenerate result
+        top = 4.0 if normalization == "mean-normalized" else 1.0
+        dist = build_histogram([5e-324, 0, 0, 0], ShapeConfig(bins=7, normalization=normalization))
+        assert dist.degenerate
+        assert dist.mass.tolist() == [1.0] + [0.0] * 6
+        assert dist.bin_edges.tolist() == np.linspace(0.0, top, 8).tolist()
+
+    @given(
+        # The second list kind keeps every sample near or below the
+        # subnormal range, where a max or mean can underflow
+        st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1)
+        | st.lists(st.floats(min_value=0.0, max_value=1e-307), min_size=1),
+        st.integers(min_value=1, max_value=10_000),
+        st.sampled_from(["mean-normalized", "raw-range"]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_any_finite_samples_bin(self, samples, bins, normalization):
+        dist = build_histogram(samples, ShapeConfig(bins=bins, normalization=normalization))
+        assert isinstance(dist, ShapeDistribution)
+        assert dist.bins == bins and dist.sample_count == len(samples)
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):
             build_histogram(np.array([]), ShapeConfig())
@@ -298,7 +328,7 @@ class TestShapeDistributionEndToEnd:
         for kind in ("D1", "D2", "D3", "DT1", "DT2"):
             dist = shape_distribution(ps, ShapeConfig(kind=kind, n_samples=2000))
             assert abs(dist.mass.sum() - 1.0) < 1e-9
-            assert dist.kind == kind
+            assert dist.config.kind == kind
 
     def test_coincident_points_degenerate(self):
         ps = cloud(np.zeros((30, 2)))
@@ -325,7 +355,7 @@ class TestExhaustiveD2:
     def test_kind_forced_to_d2(self):
         ps = _square_ps()
         dist = exhaustive_d2(ps, ShapeConfig(kind="D3"))
-        assert dist.kind == "D2"
+        assert dist.config.kind == "D2"
 
     def test_sampled_tracks_exhaustive(self, lorenz_default):
         ps = delay_embed(lorenz_default.prefix(800).channels[0], EmbeddingParams(3, 11))

@@ -35,6 +35,12 @@ run help-classify classify --help
 run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
 run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
 run features-d2 features lorenz.csv --kind D2 --tau 11
+for kind in D1 D3 DT1 DT2; do
+    run "features-$kind" features lorenz.csv --tau 11 --kind "$kind"
+done
+for kind in D1 D2 D3 DT1 DT2; do
+    run "features-raw-$kind" features rossler.csv --normalization raw-range --kind "$kind"
+done
 run features-auto features lorenz.csv --tau auto --out features.json
 run chaos-tau11 chaos lorenz.csv --tau 11
 run chaos-auto chaos rossler.csv
@@ -61,5 +67,8 @@ run chaos-periodic chaos periodic.csv --tau auto
 awk -F, 'NR == 1 { print $1 ",flat"; next } { print $1 ",1" }' lorenz.csv >flat.csv
 run features-flat features flat.csv
 run chaos-flat chaos flat.csv --tau 11
+# under a given delay the constant channel gives the degenerate histogram
+run features-flat-tau11 features flat.csv --tau 11
+run features-flat-raw features flat.csv --tau 11 --normalization raw-range
 # a bad setting is reported, unprefixed, before any channel is read
 run chaos-m0 chaos lorenz.csv --m 0
