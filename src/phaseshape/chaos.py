@@ -5,16 +5,21 @@ the correlation integral and correlation dimension, and a fixed 10-number
 feature vector [lambda1, corr_dim, C(r1..r8)] used as the comparison
 baseline for shape-distribution features.
 
-Every distance these statistics compare is computed by one formula,
-``_pair_distances``, on coordinate-major (m, ...) arrays: the squared
-coordinate differences summed in coordinate order, then the root. A
-KD-tree finds the nearest-neighbor candidates; a tree distance that lies
-within TREE_MARGIN of a decision is settled with that formula instead, so
-the neighbors equal those of the dense pairwise blocks bit for bit. The
-attractor diameter and the pair counts of C(r) are each one dense pass over
-``_distance_blocks``, which covers the upper triangle of the distance
-matrix in blocks of at most BLOCK_BYTES, one block alive at a time, so the
-working memory does not grow with the number of points.
+Every distance these statistics compare comes from one formula,
+``_squared_sums``, on coordinate-major (m, ...) arrays: the squared
+coordinate differences summed in coordinate order. ``_pair_distances``
+takes its root. A KD-tree finds the nearest-neighbor candidates; a tree
+distance that lies within TREE_MARGIN of a decision is settled with
+``_pair_distances`` instead, so the neighbors equal those of the dense
+pairwise blocks bit for bit. The attractor diameter and the pair counts of
+C(r) are each one dense pass over ``_distance_blocks``, which covers the
+upper triangle of the squared-sum matrix in blocks of a given byte budget,
+one block alive at a time, so the working memory does not grow with the
+number of points. The dense passes take no roots: the diameter is the root
+of the largest sum, and C(r) compares each sum s with _squared_radius(r),
+the largest double whose root is at most r. Both equal the results of the
+rooted distances bit for bit, because the root is correctly rounded and
+nondecreasing.
 """
 
 from __future__ import annotations
@@ -45,13 +50,23 @@ __all__ = [
 # Rows per nearest-neighbor tree query block.
 CHUNK = 1000
 
-# Bytes of one dense distance block: its (m, rows, columns) coordinate
-# differences. It bounds the working memory of the diameter and of C(r).
-# The diameter of a 5000-point, m = 3 cloud took 0.07 s with 0.5-2 MiB
-# blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB, but perfbench's
-# alloc-peak test needs its P = 778, m = 3 diameter in one block, so at
-# least 14 MiB.
+# Bytes of one dense block of the diameter pass: its (m, rows, columns)
+# coordinate differences. The diameter of a 5000-point, m = 3 cloud took
+# 0.07 s with 0.5-2 MiB blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB,
+# but perfbench's test_chaos_counters_and_alloc_peak needs the diameter span
+# to allocate at least P * P * m * 8 bytes for its P = 778, m = 3 cloud, so
+# the whole cloud in one block: at least 14 MiB.
 BLOCK_BYTES = 16 * 2**20
+
+# Bytes of one dense block of the C(r) pass. The pass scans each block once
+# per radius, so a block should stay in a core's L2 cache (4 MiB on the
+# 2-core Xeon measured). C(r) over six Lorenz P = 4978, m = 3 clouds took,
+# median of 5 interleaved rounds: 0.46 s with 0.5 MiB blocks, 0.42 s with
+# 1 MiB, 0.41 s with 1.5 MiB, 0.45 s with 2 MiB, 0.53 s with 4 MiB and
+# 0.78 s with 16 MiB (0.84 s for 16 MiB blocks of rooted distances). Under
+# tracemalloc, which the per-layer trace turns on, 2 MiB took 0.63 s and
+# 1 MiB 0.77 s, so 2 MiB.
+COUNT_BLOCK_BYTES = 2 * 2**20
 
 # Neighbors a nearest-neighbor row first asks the tree for; k doubles until
 # the row is settled, so the result does not depend on it.
@@ -143,25 +158,47 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
     return LLEConfig(theiler=theiler, k_max=k_max)
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distances between coordinate-major a and b, each of shape
-    (m, ...) and broadcast over the trailing axes: the coordinate
-    differences squared, summed in coordinate order, then the root. Every
-    distance the statistics compare is computed here. The differences go
-    to out, of their broadcast shape, when it is given; the result is a
-    view of it."""
+def _squared_sums(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between coordinate-major a and b, each of
+    shape (m, ...) and broadcast over the trailing axes: the coordinate
+    differences squared and summed in coordinate order. Every distance the
+    statistics compare is this sum or its root. The differences go to out,
+    of their broadcast shape, when it is given; the result is a view of
+    it."""
     d = np.subtract(a, b, out=out)
     d *= d
     s = d[0]
     for c in d[1:]:
         s += c
+    return s
+
+
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between coordinate-major a and b: the root of
+    _squared_sums."""
+    s = _squared_sums(a, b)
     return np.sqrt(s, out=s)
 
 
-def _distance_blocks(pts: np.ndarray):
-    """Yield (s, block): the distances from rows s:s + rows to the points
+def _squared_radius(r: float) -> float:
+    """The largest double t with np.sqrt(t) <= r, for a finite r >= 0, so
+    that a squared sum s is at most t exactly when its root is at most r.
+    r * r (the largest double when it overflows) lies within a few units
+    in the last place of t; the walk from it steps down while its root
+    exceeds r, then up while the next double's root does not."""
+    r, big = float(r), np.finfo(float).max
+    t = np.float64(min(r * r, big))
+    while np.sqrt(t) > r:
+        t = np.nextafter(t, 0.0)
+    while t < big and np.sqrt(up := np.nextafter(t, np.inf)) <= r:
+        t = up
+    return float(t)
+
+
+def _distance_blocks(pts: np.ndarray, budget: int):
+    """Yield (s, block): the squared sums from rows s:s + rows to the points
     s:P, as one (rows, P - s) array, with as many rows (at least one) as
-    keep the block's (m, rows, P - s) differences within BLOCK_BYTES; rows
+    keep the block's (m, rows, P - s) differences within budget bytes; rows
     grow as the columns narrow. The blocks cover the upper triangle,
     diagonal included, which holds every pair once. This is the dense pass
     behind the diameter and the pair counts of C(r).
@@ -170,16 +207,16 @@ def _distance_blocks(pts: np.ndarray):
     holds."""
     x = np.ascontiguousarray(pts.T)
     m, p = x.shape
-    # A block holds at most BLOCK_BYTES unless it is one row, and never
+    # A block holds at most budget bytes unless it is one row, and never
     # more than the m * P * P values of a one-block cloud. One reused buffer
     # keeps the memory the same from run to run: fresh blocks of varying
     # size left the allocator's heap one block larger in some runs.
-    buf = np.empty(max(min(BLOCK_BYTES // 8, m * p * p), m * p))
+    buf = np.empty(max(min(budget // 8, m * p * p), m * p))
     s = 0
     while s < p:
-        rows = min(max(1, BLOCK_BYTES // (8 * m * (p - s))), p - s)
+        rows = min(max(1, budget // (8 * m * (p - s))), p - s)
         out = buf[: m * rows * (p - s)].reshape(m, rows, p - s)
-        yield s, _pair_distances(x[:, s : s + rows, None], x[:, None, s:], out)
+        yield s, _squared_sums(x[:, s : s + rows, None], x[:, None, s:], out)
         s += rows
 
 
@@ -323,10 +360,10 @@ def lle_rosenstein(
 
 def attractor_diameter(ps: PhaseSpace) -> float:
     """Largest pairwise distance between reconstructed points."""
-    dia = 0.0
-    for _, d in _distance_blocks(ps.points):
-        dia = max(dia, float(d.max()))
-    return dia
+    top = 0.0
+    for _, d in _distance_blocks(ps.points, BLOCK_BYTES):
+        top = max(top, float(d.max()))
+    return float(np.sqrt(top))
 
 
 def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
@@ -355,9 +392,10 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
 
     A radius at least the diameter (the largest _pair_distances value, when
     the caller has it) holds every pair. The radii below it are counted in
-    one dense pass over _distance_blocks: in each block the distances of the
-    pairs j - i <= theiler, which include the diagonal and the pairs below
-    it, are set to inf, and the rest are counted.
+    one dense pass over _distance_blocks of COUNT_BLOCK_BYTES: in each block
+    the squared sums of the pairs j - i <= theiler, which include the
+    diagonal and the pairs below it, are set to inf, and the rest are
+    compared with each radius's _squared_radius.
     """
     total = _admissible_pairs(len(pts), theiler)
     radii = np.asarray(radii, dtype=float)
@@ -367,16 +405,16 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     todo = np.nonzero(radii < diameter)[0]
     if len(todo) == 0:
         return counts / total
-    r = radii[todo]
+    t = [_squared_radius(r) for r in radii[todo]]
     counts[todo] = 0
-    for _, d in _distance_blocks(pts):
+    for _, d in _distance_blocks(pts, COUNT_BLOCK_BYTES):
         # Row k, column c of a block from row s is the pair (s + k, s + c),
         # admissible when c - k > theiler: the others lie in the first w columns.
         rows = d.shape[0]
         w = min(rows + theiler, d.shape[1])
         d[:, :w][np.arange(w) <= np.arange(rows)[:, None] + theiler] = np.inf
-        for k, rk in zip(todo, r):
-            counts[k] += np.count_nonzero(d <= rk)
+        for k, tk in zip(todo, t):
+            counts[k] += np.count_nonzero(d <= tk)
     return counts / total
 
 

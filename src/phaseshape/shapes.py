@@ -230,7 +230,15 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
     if (s < 0).any():
         raise ValidationError("negative sample value")
     mean_norm = config.normalization == "mean-normalized"
-    scale = s.mean() if mean_norm else s.max()
+    with np.errstate(over="ignore"):
+        scale = s.mean() if mean_norm else s.max()
+    if np.isinf(scale):
+        # The sum overflowed. It is below size * max double, so scaled by
+        # 2**-size.bit_length() it is finite, and a power of two leaves
+        # s / mean as it is (a sample it makes subnormal lies far below the
+        # first bin edge).
+        s = np.ldexp(s, -s.size.bit_length())
+        scale = s.mean()
     top = MEAN_NORM_TOP if mean_norm else scale
     # A zero or subnormal scale or bin width leaves too few bits to bin by
     degenerate = bool(min(scale, top / config.bins) < np.finfo(float).tiny)

@@ -329,11 +329,11 @@ class TestAttractorDiameter:
         assert _traced_peak(attractor_diameter, ps) <= 2 * chaos.BLOCK_BYTES
 
     def test_pair_fractions_memory_bounded_by_block_budget(self):
-        # C(r) below the diameter is one dense pass over the same blocks.
+        # C(r) below the diameter is one dense pass over the smaller blocks.
         ps = cloud(np.random.default_rng(5).normal(size=(3000, 3)))
         radii, dia = chaos._default_radii(ps)
         peak = _traced_peak(chaos._pair_fractions, ps.points, radii, 10, dia)
-        assert peak <= 2 * chaos.BLOCK_BYTES
+        assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
 
 
 class TestChaosFeatureVector:
@@ -398,11 +398,15 @@ def _tied_clouds(draw):
     return rng.integers(0, 2, size=(p, m)).astype(float)
 
 
-def _pair_distance(a, b) -> float:
-    # The Euclidean formula summed coordinate by coordinate, as the block
+def _pair_square(a, b) -> float:
+    # The squared differences summed coordinate by coordinate, as the block
     # kernel's row sums are; np.linalg.norm(a - b) on one pair is a BLAS dot
     # that differs from both in the last bit on some pairs when m >= 2.
-    return math.sqrt(sum(c * c for c in a - b))
+    return sum(c * c for c in a - b)
+
+
+def _pair_distance(a, b) -> float:
+    return math.sqrt(_pair_square(a, b))
 
 
 def _oracle_neighbors(pts, theiler) -> list:
@@ -448,13 +452,15 @@ def _oracle_curve(pts, nn, k_max) -> list:
 
 
 def _budgets(pts):
-    """Run the loop body at the current BLOCK_BYTES, at a budget whose blocks
-    hold three rows or more, and at one that holds the whole cloud in one
-    block, so that C(r) counts the squares of multi-row blocks."""
+    """Run the loop body at the current COUNT_BLOCK_BYTES, at a budget whose
+    blocks hold three rows or more, and at one that holds the whole cloud in
+    one block, so that C(r) counts the squares of multi-row blocks. The
+    diameter's BLOCK_BYTES is set alike."""
     p, m = pts.shape
-    for budget in (chaos.BLOCK_BYTES, 3 * 8 * m * p, 8 * m * p * p):
+    for budget in (chaos.COUNT_BLOCK_BYTES, 3 * 8 * m * p, 8 * m * p * p):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "BLOCK_BYTES", budget)
+            mp.setattr(chaos, "COUNT_BLOCK_BYTES", budget)
             yield
 
 
@@ -469,6 +475,40 @@ def _check_fractions(pts, radii, theiler, diameter=np.inf):
         assert chaos._pair_fractions(pts, radii, theiler, diameter).tolist() == expect
 
 
+_MAX_DOUBLE = np.finfo(float).max
+
+
+def _ulps_from(x: float, k: int) -> float:
+    """The double k steps from x >= 0, held within [0, the largest double]."""
+    bits = int(np.float64(x).view(np.int64)) + k
+    return float(np.int64(min(max(bits, 0), int(_MAX_DOUBLE.view(np.int64)))).view(np.float64))
+
+
+class TestSquaredRadius:
+    """_squared_radius against its definition: s <= t exactly when
+    np.sqrt(s) <= r, for sums s within a few units in the last place of r*r."""
+
+    @given(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=np.finfo(float).tiny),  # subnormals
+            st.floats(min_value=0.0, allow_infinity=False),
+            st.floats(min_value=1.34e154, allow_infinity=False),  # r * r overflows
+            st.just(float(_MAX_DOUBLE)),
+        ),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=13),
+    )
+    @settings(max_examples=500)
+    def test_oracle(self, r, steps):
+        t = chaos._squared_radius(r)
+        start = min(r * r, float(_MAX_DOUBLE))
+        # the walk is monotone, so it took as many steps as t lies ulps away
+        assert abs(int(np.float64(t).view(np.int64)) - int(np.float64(start).view(np.int64))) <= 4
+        for k in steps:
+            s = np.float64(_ulps_from(start, k))
+            assert (s <= t) == (np.sqrt(s) <= r)
+
+
 class TestDistanceBlocksOracle:
     """The chaos kernels, tree and dense, against literal per-pair loops,
     with tree queries of 7 rows and dense blocks of 512 bytes, so that these
@@ -480,6 +520,7 @@ class TestDistanceBlocksOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "CHUNK", 7)
             mp.setattr(chaos, "BLOCK_BYTES", 512)
+            mp.setattr(chaos, "COUNT_BLOCK_BYTES", 512)
             yield
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
@@ -514,13 +555,13 @@ class TestDistanceBlocksOracle:
     @settings(deadline=None, max_examples=100)
     def test_distance_blocks_cover_upper_triangle(self, pts):
         (p, m), seen = pts.shape, set()
-        for s, d in chaos._distance_blocks(pts):
+        for s, d in chaos._distance_blocks(pts, chaos.BLOCK_BYTES):
             # rows from s against columns s:P, no column before row s; the
             # block's m coordinate planes fit the budget unless it is one row
             assert d.shape[1] == p - s
             assert 8 * m * d.size <= chaos.BLOCK_BYTES or d.shape[0] == 1
             for r, c in np.ndindex(d.shape):
-                assert d[r, c] == _pair_distance(pts[s + r], pts[s + c])
+                assert d[r, c] == _pair_square(pts[s + r], pts[s + c])
                 seen.add((s + r, s + c))
         assert {(i, j) for i in range(p) for j in range(i + 1, p)} <= seen
 
@@ -572,7 +613,9 @@ class TestDistanceBlocksOracle:
         dia = attractor_diameter(cloud(pts))
         dense = chaos._distance_blocks
         calls = []
-        monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
+        monkeypatch.setattr(
+            chaos, "_distance_blocks", lambda pts, budget: calls.append(1) or dense(pts, budget)
+        )
         for radii, diameter, passes in (
             ([0.0, 0.5 * dia, dia, 2.0 * dia], dia, 1),
             ([0.1, 0.2, 0.3], np.inf, 1),
@@ -617,7 +660,9 @@ class TestDistanceBlocksOracle:
         radii, dia = chaos._default_radii(ps)
         dense = chaos._distance_blocks
         calls = []
-        monkeypatch.setattr(chaos, "_distance_blocks", lambda pts: calls.append(1) or dense(pts))
+        monkeypatch.setattr(
+            chaos, "_distance_blocks", lambda pts, budget: calls.append(1) or dense(pts, budget)
+        )
         _check_neighbors(ps.points, theiler)
         assert calls == []
         _check_fractions(ps.points, radii, theiler, dia)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,6 +269,18 @@ class TestHistogram:
         dist = build_histogram(s, ShapeConfig(bins=50))
         assert dist.mass[-1] == pytest.approx(0.01)
         assert dist.bin_edges[-1] == pytest.approx(4.0)
+
+    def test_mean_normalized_overflowing_sum(self):
+        # The sum of these samples overflows; the masses are those of the
+        # same set scaled into range, with no overflow warning
+        s = np.array([1.5e308, 1.5e308, 1e308])
+        c = ShapeConfig(bins=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = build_histogram(s, c)
+        assert not dist.degenerate
+        assert dist.mass.tolist() == build_histogram(np.ldexp(s, -60), c).mass.tolist()
+        assert dist.mass.tolist() == [1 / 3, 2 / 3, 0.0, 0.0]
 
     def test_all_zero_samples_degenerate(self):
         dist = build_histogram(np.zeros(50), ShapeConfig(bins=50))
