@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError, check_int, check_real, check_sequence
+from .errors import NumericalError, ValidationError, check_int, check_real
 from .series import TimeSeries
 
 __all__ = [
@@ -95,26 +95,15 @@ class LLEConfig:
 
     theiler excludes temporal neighbors |i - j| <= theiler from the nearest
     neighbor search; k_max is the number of steps the pair separation is
-    followed; fit_range optionally pins the linear-fit segment [k_lo, k_hi]
-    (inclusive), otherwise the fit stops where the curve first reaches 70%
-    of its total rise.
+    followed.
     """
 
     theiler: int
     k_max: int
-    fit_range: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "theiler", check_int("theiler", self.theiler, 0))
         object.__setattr__(self, "k_max", check_int("k_max", self.k_max, 3))
-        if self.fit_range is not None:
-            ends = check_sequence("fit_range", self.fit_range, "two integers", size=2)
-            lo, hi = (check_int(f"fit_range[{i}]", v, 0) for i, v in enumerate(ends))
-            if not lo < hi < self.k_max:
-                raise ValidationError(
-                    f"fit_range must satisfy lo < hi < k_max={self.k_max}, got {self.fit_range!r}"
-                )
-            object.__setattr__(self, "fit_range", (lo, hi))
 
 
 def _mean_period(x) -> float | None:
@@ -291,16 +280,19 @@ class LLEResult:
 
     lambda1 is the least-squares slope of the divergence curve over
     fit_range (inclusive), divided by dt. low_r2 flags fits whose R^2 falls
-    below 0.95; the estimate is still reported.
+    below LOW_R2_THRESHOLD; the estimate is still reported.
     """
 
     lambda1: float
     r2: float
-    low_r2: bool
     fit_range: tuple[int, int]
     curve: np.ndarray
     theiler: int
     k_max: int
+
+    @property
+    def low_r2(self) -> bool:
+        return self.r2 < LOW_R2_THRESHOLD
 
 
 def _auto_fit_end(curve: np.ndarray) -> int:
@@ -317,9 +309,10 @@ def lle_rosenstein(
 ) -> LLEResult:
     """Largest Lyapunov exponent from nearest-neighbor divergence.
 
-    With no explicit fit_range the linear segment runs from 0 to the first
-    step where the curve has covered 70% of its rise (at least 2). Raises
-    NumericalError if the curve is constant over the fit segment.
+    The config defaults to ``default_lle_config`` of the cloud. The linear
+    fit runs from step 0 to the first step where the curve has covered 70%
+    of its rise (at least 2). Raises NumericalError if the curve is
+    constant over that segment.
     """
     dt = check_real("dt", dt, 0, strict=True)
     if config is None:
@@ -327,16 +320,9 @@ def lle_rosenstein(
     curve = divergence_curve(ps, config)
     if len(curve) < 3:
         raise NumericalError(f"divergence curve has only {len(curve)} usable steps")
-    if config.fit_range is not None:
-        lo, hi = config.fit_range
-        if hi >= len(curve):
-            raise ValidationError(
-                f"fit_range {config.fit_range} exceeds curve length {len(curve)}"
-            )
-    else:
-        lo, hi = 0, _auto_fit_end(curve)
-    seg = curve[lo : hi + 1]
-    ks = np.arange(lo, hi + 1)
+    hi = _auto_fit_end(curve)
+    seg = curve[: hi + 1]
+    ks = np.arange(hi + 1)
     # Steps whose pairs all lie at one distance (a periodic channel has its
     # neighbors at 0) give means that differ only in how each rounds: up to
     # 8 units in the last place over 1-3000 pairs, far below a real rise.
@@ -350,8 +336,7 @@ def lle_rosenstein(
     return LLEResult(
         lambda1=float(slope / dt),
         r2=float(r2),
-        low_r2=bool(r2 < LOW_R2_THRESHOLD),
-        fit_range=(int(lo), int(hi)),
+        fit_range=(0, int(hi)),
         curve=curve,
         theiler=config.theiler,
         k_max=config.k_max,
@@ -366,15 +351,6 @@ def attractor_diameter(ps: PhaseSpace) -> float:
     return float(np.sqrt(top))
 
 
-def _default_radii(ps: PhaseSpace) -> tuple[np.ndarray, float]:
-    """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter,
-    and the diameter."""
-    dia = attractor_diameter(ps)
-    if dia <= 0:
-        raise ValidationError("all points coincide; correlation dimension undefined")
-    return np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII), dia
-
-
 def _admissible_pairs(p: int, theiler) -> int:
     """Number of pairs (i, j) with j - i > theiler among p points; the one
     theiler check of every C(r) entry point."""
@@ -385,6 +361,14 @@ def _admissible_pairs(p: int, theiler) -> int:
             f"theiler window {theiler} leaves {total} admissible pairs; need at least 2"
         )
     return total
+
+
+def _as_radii(radii) -> np.ndarray:
+    """radii as a float array; ValidationError when they are not reals."""
+    try:
+        return np.asarray(radii, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"radii must be nonnegative reals, got {radii!r}") from None
 
 
 def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -> np.ndarray:
@@ -398,7 +382,7 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     compared with each radius's _squared_radius.
     """
     total = _admissible_pairs(len(pts), theiler)
-    radii = np.asarray(radii, dtype=float)
+    radii = _as_radii(radii)
     if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
         raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
     counts = np.full(len(radii), total)
@@ -416,6 +400,17 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
         for k, tk in zip(todo, t):
             counts[k] += np.count_nonzero(d <= tk)
     return counts / total
+
+
+def _default_integrals(ps: PhaseSpace, theiler) -> tuple[np.ndarray, np.ndarray]:
+    """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter,
+    and C(r) at them. theiler is checked before the O(P^2) diameter pass."""
+    _admissible_pairs(len(ps), theiler)
+    dia = attractor_diameter(ps)
+    if dia <= 0:
+        raise ValidationError("all points coincide; correlation dimension undefined")
+    radii = np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
+    return radii, _pair_fractions(ps.points, radii, theiler, dia)
 
 
 def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
@@ -450,14 +445,11 @@ def correlation_dimension(
     dropped; fewer than 3 useful radii raise NumericalError.
     """
     if radii is None:
-        # theiler is checked before the O(P^2) diameter pass
-        _admissible_pairs(len(ps), theiler)
-        radii, dia = _default_radii(ps)
-    else:
-        radii, dia = np.asarray(radii, dtype=float), np.inf
+        return _dimension_from(*_default_integrals(ps, theiler))
+    radii = _as_radii(radii)
     if radii.ndim != 1 or len(radii) < 3 or (radii <= 0).any():
         raise ValidationError("need at least 3 positive radii")
-    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler, dia))
+    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,7 +468,6 @@ class ChaosFeatureVector:
     theiler: int
     fit_range: tuple[int, int]
     r2: float
-    low_r2: bool
 
     def __post_init__(self):
         integrals = np.array(self.integrals, dtype=float)
@@ -493,6 +484,10 @@ class ChaosFeatureVector:
         radii.setflags(write=False)
         object.__setattr__(self, "integrals", integrals)
         object.__setattr__(self, "radii", radii)
+
+    @property
+    def low_r2(self) -> bool:
+        return self.r2 < LOW_R2_THRESHOLD
 
     @property
     def vector(self) -> np.ndarray:
@@ -514,26 +509,22 @@ class ChaosFeatureVector:
 def chaos_feature_vector(series: TimeSeries, embed: EmbeddingParams) -> ChaosFeatureVector:
     """Build the 10-number chaos feature from one channel.
 
-    The channel is delay-embedded, lambda1 is estimated with the divergence
-    method under ``default_lle_config`` of the cloud (``lle_rosenstein``
-    takes any other config), and C(r) is evaluated at the 8 standard radii
-    with the same theiler exclusion; corr_dim is the log-log slope over
-    those radii.
+    The channel is delay-embedded, lambda1 is estimated by
+    ``lle_rosenstein`` under its default config, and C(r) is evaluated at
+    the 8 standard radii with the same theiler exclusion; corr_dim is the
+    log-log slope over those radii.
     """
     if np.ptp(series.samples) == 0.0:
         raise ValidationError("constant series has no attractor geometry")
     ps = delay_embed(series, embed)
-    config = default_lle_config(ps)
-    res = lle_rosenstein(ps, config, dt=series.dt)
-    radii, dia = _default_radii(ps)
-    integrals = _pair_fractions(ps.points, radii, config.theiler, dia)
+    res = lle_rosenstein(ps, dt=series.dt)
+    radii, integrals = _default_integrals(ps, res.theiler)
     return ChaosFeatureVector(
         lambda1=res.lambda1,
         corr_dim=_dimension_from(radii, integrals),
         integrals=integrals,
         radii=radii,
-        theiler=config.theiler,
+        theiler=res.theiler,
         fit_range=res.fit_range,
         r2=res.r2,
-        low_r2=res.low_r2,
     )

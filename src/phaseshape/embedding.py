@@ -70,36 +70,31 @@ class PhaseSpace:
         return self.points.shape[0]
 
 
-def autocorrelation(series: TimeSeries, max_lag: int | None = None) -> np.ndarray:
-    """Biased, mean-removed, normalized autocorrelation at lags 0..max_lag.
+def autocorrelation(series: TimeSeries) -> np.ndarray:
+    """Biased, mean-removed, normalized autocorrelation at lags 0..N // 4.
 
     Parameters
     ----------
     series : TimeSeries
-        Must have nonzero variance.
-    max_lag : int, optional
-        Largest lag, 1 <= max_lag < N. Defaults to N // 4, for N >= 4.
+        At least 4 samples, with nonzero variance.
 
     Returns
     -------
-    ndarray of length max_lag + 1
+    ndarray of length N // 4 + 1
         r[0] is exactly 1. The estimator divides by N (biased form), which
         keeps the tail smooth at large lags.
     """
     x = series.samples
     n = x.size
-    if max_lag is None and n < 4:
+    if n < 4:
         raise ValidationError(f"series too short to estimate a delay: {n} samples, need at least 4")
-    max_lag = n // 4 if max_lag is None else check_int("max_lag", max_lag, 1)
-    if not 1 <= max_lag < n:
-        raise ValidationError(f"max_lag must be in [1, N), got {max_lag} for N={n}")
     x0 = x - x.mean()
     # FFT-based autocovariance; pad to a power of two >= 2N to avoid wrap-around
     nfft = 1
     while nfft < 2 * n:
         nfft *= 2
     f = np.fft.rfft(x0, nfft)
-    c = np.fft.irfft(f * np.conj(f), nfft)[: max_lag + 1]
+    c = np.fft.irfft(f * np.conj(f), nfft)[: n // 4 + 1]
     if c[0] <= 0:
         raise ValidationError("zero-variance series (constant input)")
     r = c / c[0]

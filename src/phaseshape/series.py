@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_int, check_real
 
 __all__ = [
     "TimeSeries",
@@ -118,7 +118,8 @@ class MultiSeries:
 
     def prefix(self, n: int) -> "MultiSeries":
         """Return the first ``n`` samples of every channel."""
-        if not 2 <= n <= self.n:
+        n = check_int("prefix length", n, 2)
+        if n > self.n:
             raise ValidationError(f"prefix length must be in [2, {self.n}], got {n}")
         chans = tuple(TimeSeries(ch.samples[:n], dt=ch.dt, name=ch.name) for ch in self.channels)
         return MultiSeries(chans, label=self.label)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from phaseshape import (
+    ChaosFeatureVector,
     EmbeddingParams,
     LLEConfig,
     NumericalError,
@@ -36,31 +37,6 @@ class TestLLEConfig:
             LLEConfig(theiler=-1, k_max=10)
         with pytest.raises(ValidationError):
             LLEConfig(theiler=0, k_max=2)
-        with pytest.raises(ValidationError):
-            LLEConfig(theiler=0, k_max=10, fit_range=(5, 5))
-        with pytest.raises(ValidationError):
-            LLEConfig(theiler=0, k_max=10, fit_range=(-1, 4))
-        with pytest.raises(ValidationError):
-            LLEConfig(theiler=0, k_max=10, fit_range=(0, 10))
-
-    def test_fit_range_accepted(self):
-        c = LLEConfig(theiler=2, k_max=10, fit_range=(0, 9))
-        assert c.fit_range == (0, 9)
-        assert LLEConfig(theiler=2, k_max=10, fit_range=np.array([1, 4])).fit_range == (1, 4)
-
-    @pytest.mark.parametrize(
-        "fit_range", [(1.7, 5.9), (1.0, 5.0), (0, 4, 8), (math.nan, 5), (0, math.nan), 5, (True, 5)]
-    )
-    def test_malformed_fit_range_rejected(self, fit_range):
-        with pytest.raises(ValidationError, match="fit_range"):
-            LLEConfig(theiler=0, k_max=10, fit_range=fit_range)
-
-    @pytest.mark.parametrize(
-        "fit_range, entry", [((0, 4.5), r"fit_range\[1\]"), (("0", 4), r"fit_range\[0\]")]
-    )
-    def test_bad_entry_named(self, fit_range, entry):
-        with pytest.raises(ValidationError, match=entry + " must be an integer >= 0"):
-            LLEConfig(theiler=0, k_max=10, fit_range=fit_range)
 
     @pytest.mark.parametrize("field", ["theiler", "k_max"])
     def test_boolean_counts_rejected(self, field):
@@ -114,6 +90,10 @@ class TestDivergenceCurve:
         curve = divergence_curve(ps, cfg)
         assert len(curve) == cfg.k_max
         assert np.isfinite(curve).all()
+        # Coarse ramp with tail copies of a few anchors: every close pair
+        # involves a late index, so tracking dies before k_max.
+        x = np.concatenate([np.arange(16.0), [3.001, 9.001, 12.001, 6.001]])
+        assert len(divergence_curve(cloud(x[:, None]), LLEConfig(theiler=6, k_max=8))) == 7
 
 
 class TestLLE:
@@ -156,23 +136,6 @@ class TestLLE:
         a = lle_rosenstein(ps, dt=0.12)
         b = lle_rosenstein(ps, dt=0.06)
         assert b.lambda1 == pytest.approx(2.0 * a.lambda1)
-
-    def test_explicit_fit_range_changes_slope(self, rossler_default):
-        ps = delay_embed(rossler_default.channels[0], EmbeddingParams(3, 8))
-        auto = lle_rosenstein(ps, dt=0.12)
-        cfg = LLEConfig(auto.theiler, auto.k_max, fit_range=(0, 5))
-        manual = lle_rosenstein(ps, cfg, dt=0.12)
-        assert manual.fit_range == (0, 5)
-        assert manual.lambda1 != auto.lambda1
-
-    def test_fit_range_beyond_truncated_curve(self):
-        # Coarse ramp with tail copies of a few anchors: every close pair
-        # involves a late index, so tracking dies before k_max.
-        x = np.concatenate([np.arange(16.0), [3.001, 9.001, 12.001, 6.001]])
-        ps = cloud(x[:, None])
-        assert len(divergence_curve(ps, LLEConfig(theiler=6, k_max=8))) == 7
-        with pytest.raises(ValidationError, match="exceeds curve length"):
-            lle_rosenstein(ps, LLEConfig(theiler=6, k_max=8, fit_range=(0, 7)))
 
     def test_constant_curve_rejected(self):
         # Ramp plus period-4 wobble: each point's nearest admissible
@@ -247,6 +210,19 @@ class TestCorrelationIntegral:
     def test_bad_radius(self):
         with pytest.raises(ValidationError):
             correlation_integral(self._triangle(), -1.0)
+
+    @pytest.mark.parametrize(
+        "fn, radii",
+        [
+            (correlation_integral, "a"),
+            (correlation_integral, [1, "x"]),
+            (correlation_dimension, "abc"),
+            (correlation_dimension, [0.1, 0.2, "x"]),
+        ],
+    )
+    def test_non_numeric_radii_rejected(self, fn, radii):
+        with pytest.raises(ValidationError, match="radii must be nonnegative reals"):
+            fn(self._triangle(), radii)
 
 
 class TestCorrelationDimension:
@@ -331,7 +307,8 @@ class TestAttractorDiameter:
     def test_pair_fractions_memory_bounded_by_block_budget(self):
         # C(r) below the diameter is one dense pass over the smaller blocks.
         ps = cloud(np.random.default_rng(5).normal(size=(3000, 3)))
-        radii, dia = chaos._default_radii(ps)
+        radii, _ = chaos._default_integrals(ps, 10)
+        dia = chaos.attractor_diameter(ps)
         peak = _traced_peak(chaos._pair_fractions, ps.points, radii, 10, dia)
         assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
 
@@ -363,6 +340,21 @@ class TestChaosFeatureVector:
         b = chaos_feature_vector(lorenz_seeded[3].channels[0], EmbeddingParams(3, 11)).vector
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
         assert rel.max() <= 0.10
+
+    def test_low_r2_follows_r2(self):
+        kwargs = dict(
+            lambda1=0.1, corr_dim=1.0, integrals=np.linspace(0.1, 1.0, 8),
+            radii=np.geomspace(0.05, 1.0, 8), theiler=1, fit_range=(0, 2),
+        )
+        for r2, low in ((0.5, True), (0.95, False)):
+            v = ChaosFeatureVector(**kwargs, r2=r2)
+            assert v.low_r2 is low
+            assert v.to_dict()["low_r2"] is low
+        # the flag is not a setting: it cannot disagree with r2
+        with pytest.raises(TypeError):
+            ChaosFeatureVector(**kwargs, r2=0.5, low_r2=False)
+        with pytest.raises(TypeError):
+            LLEConfig(theiler=0, k_max=10, fit_range=(0, 5))
 
     def test_to_dict(self, rossler_default):
         short = rossler_default.prefix(600)
@@ -657,7 +649,8 @@ class TestDistanceBlocksOracle:
         # per-pair loops.
         ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
         theiler = default_lle_config(ps).theiler
-        radii, dia = chaos._default_radii(ps)
+        radii, _ = chaos._default_integrals(ps, theiler)
+        dia = chaos.attractor_diameter(ps)
         dense = chaos._distance_blocks
         calls = []
         monkeypatch.setattr(

@@ -15,11 +15,11 @@ from phaseshape import (
     Instance,
     LLEConfig,
     LorenzParams,
+    MultiSeries,
     RosslerParams,
     ShapeConfig,
     TimeSeries,
     ValidationError,
-    autocorrelation,
     classification_experiment,
     delay_embed,
     generate_system,
@@ -98,7 +98,7 @@ SITES = [
         True,
     ),
     ("n_steps", 0, lambda v: rk4_integrate(lambda y: (-y,), [1.0], 0.1, v), False),
-    ("max_lag", 1, lambda v: autocorrelation(_SINE, v), False),
+    ("prefix length", 2, lambda v: MultiSeries((_SINE,)).prefix(v).n, True),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 

@@ -78,8 +78,11 @@ class TestMultiSeries:
         assert (pre.channels[0].samples == np.arange(4.0)).all()
         with pytest.raises(ValidationError):
             ms.prefix(1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"prefix length must be in \[2, 10\], got 11"):
             ms.prefix(11)
+        for n in (3.5, np.float64(4.0)):
+            with pytest.raises(ValidationError, match="prefix length must be an integer >= 2"):
+                ms.prefix(n)
 
     def test_with_label(self):
         ms = MultiSeries((TimeSeries([1.0, 2.0]),))

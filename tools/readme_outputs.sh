@@ -44,6 +44,10 @@ done
 run features-auto features lorenz.csv --tau auto --out features.json
 run chaos-tau11 chaos lorenz.csv --tau 11
 run chaos-auto chaos rossler.csv
+# a short Rossler run whose divergence fits fall below R^2 0.95: the
+# low-R^2 warnings and "low_r2": true
+run gen-short gen-model rossler --n 400 --out short.csv
+run chaos-short chaos short.csv --tau 8
 run stability stability --lorenz-lengths 1000,3000,5000 --rossler-lengths 400,1200,2000
 run stability-dir stability --out-dir stability
 run classify-shape classify --synthetic lorenz-rossler --per-class 10 --jobs 2 --out classify_shape.json
