@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError, check_int, check_real
+from .errors import NumericalError, ValidationError, check_int, check_real, check_reals
 from .series import TimeSeries
 
 __all__ = [
@@ -363,14 +363,6 @@ def _admissible_pairs(p: int, theiler) -> int:
     return total
 
 
-def _as_radii(radii) -> np.ndarray:
-    """radii as a float array; ValidationError when they are not reals."""
-    try:
-        return np.asarray(radii, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"radii must be nonnegative reals, got {radii!r}") from None
-
-
 def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -> np.ndarray:
     """Fraction of pairs with j - i > theiler and distance <= r, per radius.
 
@@ -382,7 +374,7 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
     compared with each radius's _squared_radius.
     """
     total = _admissible_pairs(len(pts), theiler)
-    radii = _as_radii(radii)
+    radii = np.atleast_1d(check_reals("radii", radii, "nonnegative reals"))
     if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
         raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
     counts = np.full(len(radii), total)
@@ -421,7 +413,7 @@ def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
     Accepts a single radius (returns a float) or a sequence of radii
     (returns an array of the same length).
     """
-    c = _pair_fractions(ps.points, np.atleast_1d(r), theiler)
+    c = _pair_fractions(ps.points, r, theiler)
     return float(c[0]) if np.ndim(r) == 0 else c
 
 
@@ -446,7 +438,7 @@ def correlation_dimension(
     """
     if radii is None:
         return _dimension_from(*_default_integrals(ps, theiler))
-    radii = _as_radii(radii)
+    radii = check_reals("radii", radii, "nonnegative reals")
     if radii.ndim != 1 or len(radii) < 3 or (radii <= 0).any():
         raise ValidationError("need at least 3 positive radii")
     return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler))
@@ -470,8 +462,8 @@ class ChaosFeatureVector:
     r2: float
 
     def __post_init__(self):
-        integrals = np.array(self.integrals, dtype=float)
-        radii = np.array(self.radii, dtype=float)
+        integrals = check_reals("integrals", self.integrals, "reals")
+        radii = check_reals("radii", self.radii, "reals")
         if integrals.shape != (N_RADII,) or radii.shape != (N_RADII,):
             raise ValidationError(
                 f"expected {N_RADII} radii and integrals, got {radii.shape} and {integrals.shape}"
@@ -484,6 +476,9 @@ class ChaosFeatureVector:
         radii.setflags(write=False)
         object.__setattr__(self, "integrals", integrals)
         object.__setattr__(self, "radii", radii)
+        for f in ("lambda1", "corr_dim", "r2"):
+            object.__setattr__(self, f, check_real(f, getattr(self, f)))
+        object.__setattr__(self, "theiler", check_int("theiler", self.theiler, 0))
 
     @property
     def low_r2(self) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, channel_errors, check_int
+from .errors import ValidationError, channel_errors, check_int, check_reals
 from .models import BUNDLED
 from .series import MultiSeries, TimeSeries
 
@@ -56,7 +56,7 @@ class PhaseSpace:
     params: EmbeddingParams
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = check_reals("points", self.points, "reals")
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValidationError(f"points must be a non-empty 2-D array, got shape {pts.shape}")
         if not np.isfinite(pts).all():

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one integer rule,
-the one real rule and the one sequence rule.
+the one real rule, the one sequence rule and the one array conversion.
 
 Two failure families are distinguished so that callers (and the CLI exit
 codes) can tell bad input apart from runtime numerical breakdown.
@@ -14,7 +14,7 @@ import numpy as np
 
 __all__ = [
     "ValidationError", "NumericalError", "channel_errors", "check_int", "check_real",
-    "check_sequence",
+    "check_reals", "check_sequence",
 ]
 
 
@@ -77,3 +77,20 @@ def check_sequence(name: str, value, what: str, size: int | None = None) -> list
             or size not in (None, len(items))):
         raise ValidationError(f"{name} must be a sequence of {what}, got {items!r}")
     return list(items)
+
+
+def check_reals(name: str, value, what: str) -> np.ndarray:
+    """``value`` as a new float array, else ValidationError naming it as
+    ``{name} must be {what}``; shape and finiteness are the caller's to check.
+
+    Every array of reals the package is given goes through this conversion.
+    Strings, even numeric ones, ragged nestings and complex values are not
+    reals (numpy would parse the strings and drop the imaginary parts).
+    """
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "cSU":
+            raise TypeError
+        return np.array(arr, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be {what}, got {value!r}") from None

@@ -21,7 +21,7 @@ from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
 from .embedding import EmbeddingParams, _resolve_delay
 from .errors import ValidationError, channel_errors, check_int, check_sequence
-from .models import BUNDLED, GenConfig, _generate, generate_system
+from .models import BUNDLED, GenConfig, generate_system
 from .series import MultiSeries, load_csv, sidecar_dt
 from .shapes import ShapeConfig, channel_distributions, feature_vector
 
@@ -206,9 +206,9 @@ def synthetic_instances(
     Instance (system, k) draws from its own generator seeded by
     [root_seed, class index, k]: first the initial condition uniformly
     from the system's ic box, then the kept length uniformly from the
-    system's length range. Independent of execution order. Each class's
-    trajectories integrate as one batch, whose rows equal the one-at-a-time
-    trajectories bit for bit, so ``jobs`` is only checked.
+    system's length range. Independent of execution order. Each instance
+    integrates alone with ``generate_system``, only to its own length, on
+    Python floats; ``jobs`` is only checked.
     """
     per_class = check_int("per_class", per_class, 1)
     root_seed = check_int("root_seed", root_seed, 0)
@@ -218,14 +218,12 @@ def synthetic_instances(
     for class_idx, system in enumerate(SYSTEMS):
         low, high = BUNDLED[system].ic_box
         lo, hi = BUNDLED[system].length_range
-        configs = []
         for k in range(per_class):
             rng = np.random.default_rng(np.random.SeedSequence([root_seed, class_idx, k]))
             ic = rng.uniform(low, high)
             n = int(rng.integers(lo, hi + 1))
-            configs.append(GenConfig(n=n, ic=tuple(ic)))
-        batch = _generate(system, configs)
-        instances += [Instance(id=f"{system}-{k:03d}", series=s) for k, s in enumerate(batch)]
+            series = generate_system(system, GenConfig(n=n, ic=tuple(ic)))
+            instances.append(Instance(id=f"{system}-{k:03d}", series=series))
     return instances
 
 

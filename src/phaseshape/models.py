@@ -54,8 +54,8 @@ class LorenzParams:
             object.__setattr__(self, f, check_real(f, getattr(self, f)))
 
     def deriv(self, x, y, z):
-        """Time derivative (dx, dy, dz) of one state, as floats, or of a
-        batch, as same-shape arrays: only + - * on the components."""
+        """Time derivative (dx, dy, dz) of one state: only + - * on the
+        components."""
         return self.sigma * (y - x), x * (self.rho - z) - y, x * y - self.beta * z
 
 
@@ -127,18 +127,18 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     """Integrate y' = deriv(y) with the classic fourth-order Runge-Kutta step.
 
     ``deriv`` takes the state's components and returns their derivatives,
-    ``deriv(*y) -> (dy0, dy1, ...)``. A (dim,) state steps as dim Python
-    floats. A batch of K independent states of the same system steps as dim
-    arrays of K through the same loop, so ``deriv`` must accept both, as a
-    formula of + - * on its arguments does. Every operation is elementwise,
-    so each row of a batch equals its own (dim,) integration bit for bit.
+    ``deriv(*y) -> (dy0, dy1, ...)``. The state steps as Python floats. A
+    3-component state, as both bundled systems have, steps through one loop
+    written out on three float locals; any other dimension through a loop
+    over the component list. Both take the same operations in the same
+    order, so they agree bit for bit.
 
     Parameters
     ----------
     deriv : callable
         Maps the state's components to their time derivatives.
-    y0 : array_like, shape (dim,) or (K, dim)
-        Initial state, or K initial states, of finite reals.
+    y0 : array_like, shape (dim,)
+        Initial state of finite reals.
     dt : float
         Fixed step size.
     n_steps : int
@@ -146,59 +146,62 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
 
     Returns
     -------
-    ndarray of shape (n_steps + 1, dim) or (n_steps + 1, K, dim)
+    ndarray of shape (n_steps + 1, dim)
         The states including ``y0`` itself.
 
     Raises
     ------
     ValidationError
         If ``y0`` has another shape or an entry that is not a finite real;
-        the message names the entry, as ``y0[1, 0]``.
+        the message names the entry, as ``y0[1]``.
     NumericalError
         If the state leaves the finite range, checked once the steps have
-        run (a non-finite state stays non-finite). The message names the step,
-        and for a batch also the first row that went non-finite:
-        ``non-finite state at integration step 13 (row 1)``.
+        run (a non-finite state stays non-finite). The message names the
+        step: ``non-finite state at integration step 13``.
     """
     dt = check_real("dt", dt, 0, strict=True)
     n_steps = check_int("n_steps", n_steps, 0)
-    y = np.array(y0, dtype=object, ndmin=1)
-    if y.ndim > 2:
-        raise ValidationError(f"y0 must have shape (dim,) or (K, dim), got {y.shape}")
-    y = np.array([check_real(f"y0{list(i)}", y[i]) for i in np.ndindex(y.shape)]).reshape(y.shape)
-    batch = y.ndim == 2
-    out = np.empty((n_steps + 1, *y.shape))
-    out[0] = y
-    # Step i writes the components to row i: a (dim,) row, or the dim
-    # columns of a (K, dim) row.
-    rows = out.transpose(0, 2, 1) if batch else out
-    s = list(y.T.copy()) if batch else y.tolist()
+    y0 = np.array(y0, dtype=object, ndmin=1)
+    if y0.ndim != 1:
+        raise ValidationError(f"y0 must have shape (dim,), got {y0.shape}")
+    s = [check_real(f"y0[{i}]", v) for i, v in enumerate(y0)]
+    rows = [s]
     h2, h6 = 0.5 * dt, dt / 6.0
     try:
-        for i in range(1, n_steps + 1):
-            k1 = deriv(*s)
-            k2 = deriv(*[a + h2 * b for a, b in zip(s, k1)])
-            k3 = deriv(*[a + h2 * b for a, b in zip(s, k2)])
-            k4 = deriv(*[a + dt * b for a, b in zip(s, k3)])
-            # b + b is 2 * b exactly, and cheaper than it on arrays
-            s = [
-                a + h6 * (b1 + (b2 + b2) + (b3 + b3) + b4)
-                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
-            ]
-            rows[i] = s
+        if len(s) == 3:
+            x, y, z = s
+            for _ in range(n_steps):
+                ax, ay, az = deriv(x, y, z)
+                bx, by, bz = deriv(x + h2 * ax, y + h2 * ay, z + h2 * az)
+                cx, cy, cz = deriv(x + h2 * bx, y + h2 * by, z + h2 * bz)
+                dx, dy, dz = deriv(x + dt * cx, y + dt * cy, z + dt * cz)
+                x = x + h6 * (ax + (bx + bx) + (cx + cx) + dx)
+                y = y + h6 * (ay + (by + by) + (cy + cy) + dy)
+                z = z + h6 * (az + (bz + bz) + (cz + cz) + dz)
+                rows.append((x, y, z))
+        else:
+            for _ in range(n_steps):
+                k1 = deriv(*s)
+                k2 = deriv(*[a + h2 * b for a, b in zip(s, k1)])
+                k3 = deriv(*[a + h2 * b for a, b in zip(s, k2)])
+                k4 = deriv(*[a + dt * b for a, b in zip(s, k3)])
+                s = [
+                    a + h6 * (b1 + (b2 + b2) + (b3 + b3) + b4)
+                    for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
+                ]
+                rows.append(s)
     except (OverflowError, ZeroDivisionError):
-        # Python floats raise where arrays overflow to inf or divide to
-        # inf or nan: step i leaves the finite range, if no earlier step did.
-        out[i:] = np.inf
+        # Python floats raise where arrays overflow to inf or divide to inf
+        # or nan: the step being taken, row len(rows), leaves the finite
+        # range, if no earlier step did. It and the rows after it stay inf.
+        pass
+    out = np.full((n_steps + 1, len(s)), np.inf)
+    out[: len(rows)] = rows
     # A non-finite component stays non-finite under a + ..., so the first
     # row with one is the step where the state left the finite range.
-    finite = np.isfinite(out).reshape(n_steps + 1, -1).all(axis=1)
+    finite = np.isfinite(out).all(axis=1)
     if not finite.all():
-        step = int(finite.argmin())
-        where = ""
-        if batch:
-            where = f" (row {np.flatnonzero(~np.isfinite(out[step]).all(axis=1))[0]})"
-        raise NumericalError(f"non-finite state at integration step {step}{where}")
+        raise NumericalError(f"non-finite state at integration step {int(finite.argmin())}")
     return out
 
 
@@ -210,15 +213,10 @@ def _initial_state(cls, config: GenConfig) -> tuple:
     return tuple(np.random.default_rng(config.seed).uniform(*cls.ic_box).tolist())
 
 
-def _generate(system: str, configs, params=None) -> list[MultiSeries]:
-    """One MultiSeries per config of a bundled system, all integrated in one
-    rk4_integrate pass.
-
-    ``params`` defaults to the system's params class with its defaults. The
-    configs must share dt; each keeps its own transient and length. A
-    single config integrates a (3,) state, which steps on Python floats at
-    about a seventh of the cost per step of a (1, 3) batch.
-    """
+def generate_system(system: str, config: GenConfig, params=None) -> MultiSeries:
+    """Generate a ``BUNDLED`` system as a 3-channel MultiSeries labeled with
+    its name; ``params``, when given, must be of that system's params class,
+    and defaults to that class with its defaults."""
     if system not in BUNDLED:
         raise ValidationError(f"system must be one of {tuple(BUNDLED)}, got {system!r}")
     cls = BUNDLED[system]
@@ -226,28 +224,13 @@ def _generate(system: str, configs, params=None) -> list[MultiSeries]:
         params = cls()
     elif not isinstance(params, cls):
         raise ValidationError(f"{system} needs {cls.__name__}, got {type(params).__name__}")
-    dts = {c.dt if c.dt is not None else cls.default_dt for c in configs}
-    if len(dts) != 1:
-        raise ValidationError(f"a batch needs one dt, got {sorted(dts)}")
-    dt = dts.pop()
-    ics = np.array([_initial_state(cls, c) for c in configs], dtype=float)
-    steps = max(c.transient + c.n for c in configs) - 1
-    traj = rk4_integrate(params.deriv, ics[0] if len(configs) == 1 else ics, dt, steps)
-    traj = traj.reshape(steps + 1, len(configs), 3)
-    out = []
-    for k, c in enumerate(configs):
-        kept = traj[c.transient : c.transient + c.n, k]
-        channels = tuple(
-            TimeSeries(kept[:, i], dt=dt, name=nm) for i, nm in enumerate(("x", "y", "z"))
-        )
-        out.append(MultiSeries(channels, label=system))
-    return out
-
-
-def generate_system(system: str, config: GenConfig, params=None) -> MultiSeries:
-    """Generate a ``BUNDLED`` system as a 3-channel MultiSeries labeled with
-    its name; ``params``, when given, must be of that system's params class."""
-    return _generate(system, [config], params)[0]
+    dt = cls.default_dt if config.dt is None else config.dt
+    steps = config.transient + config.n - 1
+    kept = rk4_integrate(params.deriv, _initial_state(cls, config), dt, steps)[config.transient :]
+    channels = tuple(
+        TimeSeries(kept[:, i], dt=dt, name=nm) for i, nm in enumerate(("x", "y", "z"))
+    )
+    return MultiSeries(channels, label=system)
 
 
 def lorenz_generate(config: GenConfig, params: LorenzParams | None = None) -> MultiSeries:

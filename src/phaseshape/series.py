@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_int, check_real, check_reals
 
 __all__ = [
     "TimeSeries",
@@ -48,7 +48,7 @@ class TimeSeries:
     name: str | None = None
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float)
+        arr = check_reals("samples", self.samples, "reals")
         if arr.ndim != 1:
             raise ValidationError(f"samples must be one-dimensional, got shape {arr.shape}")
         if arr.size < 2:

@@ -1,7 +1,9 @@
-"""The one integer rule (``errors.check_int``) and the one real rule
-(``errors.check_real``) at every site that applies them."""
+"""The one integer rule (``errors.check_int``), the one real rule
+(``errors.check_real``) and the one array conversion
+(``errors.check_reals``) at every site that applies them."""
 
 import math
+import re
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -10,17 +12,21 @@ import numpy as np
 import pytest
 
 from phaseshape import (
+    ChaosFeatureVector,
     EmbeddingParams,
     GenConfig,
     Instance,
     LLEConfig,
     LorenzParams,
     MultiSeries,
+    PhaseSpace,
     RosslerParams,
     ShapeConfig,
     TimeSeries,
     ValidationError,
     classification_experiment,
+    correlation_dimension,
+    correlation_integral,
     delay_embed,
     generate_system,
     lle_rosenstein,
@@ -30,13 +36,22 @@ from phaseshape import (
     write_meta,
 )
 from phaseshape.chaos import _admissible_pairs
-from phaseshape.errors import check_int, check_real
+from phaseshape.errors import check_int, check_real, check_reals
 from phaseshape.series import sidecar_dt
 from phaseshape import experiments
 from phaseshape.experiments import _map
 
 
 _SINE = TimeSeries(np.sin(np.arange(200) / 5.0))
+
+
+def _feature_vector(**changes):
+    """A valid ChaosFeatureVector with ``changes`` applied to its fields."""
+    fields = dict(
+        lambda1=0.1, corr_dim=1.0, integrals=np.linspace(0.1, 1.0, 8),
+        radii=np.geomspace(0.05, 1.0, 8), theiler=1, fit_range=(0, 2), r2=0.99,
+    )
+    return ChaosFeatureVector(**{**fields, **changes})
 
 
 def _tiny_instances():
@@ -99,6 +114,7 @@ SITES = [
     ),
     ("n_steps", 0, lambda v: rk4_integrate(lambda y: (-y,), [1.0], 0.1, v), False),
     ("prefix length", 2, lambda v: MultiSeries((_SINE,)).prefix(v).n, True),
+    ("theiler", 0, lambda v: _feature_vector(theiler=v).theiler, True),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 
@@ -155,15 +171,17 @@ REAL_SITES = [
     (r"ic\[1\]", None, False, lambda v: GenConfig(n=10, ic=(1.0, v, 1.0)).ic[1], True),
     ("dt", 0, True, lambda v: rk4_integrate(lambda y: (-y,), [1.0], v, 2), False),
     (r"y0\[0\]", None, False, lambda v: rk4_integrate(lambda y: (-y,), [v], 0.1, 2), False),
-    (r"y0\[1, 0\]", None, False,
-     lambda v: rk4_integrate(lambda *y: [-c for c in y], [[1.0, 2.0], [v, 1.0]], 0.1, 2), False),
     ("dt", 0, True, lambda v: lle_rosenstein(_lorenz_ps(), dt=v), False),
     ("gamma", 0, False, lambda v: ShapeConfig(kind="DT2", gamma=v).gamma, True),
+    ("lambda1", None, False, lambda v: _feature_vector(lambda1=v).lambda1, True),
+    ("corr_dim", None, False, lambda v: _feature_vector(corr_dim=v).corr_dim, True),
+    ("r2", None, False, lambda v: _feature_vector(r2=v).r2, True),
 ]
 REAL_IDS = [
     "TimeSeries-dt", "sidecar-dt", "LorenzParams-sigma", "RosslerParams-c", "GenConfig-dt",
-    "GenConfig-ic", "rk4_integrate-dt", "rk4_integrate-y0", "rk4_integrate-y0-batch",
-    "lle_rosenstein-dt", "ShapeConfig-gamma",
+    "GenConfig-ic", "rk4_integrate-dt", "rk4_integrate-y0", "lle_rosenstein-dt",
+    "ShapeConfig-gamma", "ChaosFeatureVector-lambda1", "ChaosFeatureVector-corr_dim",
+    "ChaosFeatureVector-r2",
 ]
 
 
@@ -211,6 +229,46 @@ def test_check_real():
         check_real("x", 10**400)
     with pytest.raises(ValidationError, match=r"^x must be a finite real, got None$"):
         check_real("x", None)
+
+
+# (name, what, call): call(value) runs a site that converts an array of
+# reals; its message reads ``{name} must be {what}``.
+ARRAY_SITES = [
+    ("samples", "reals", lambda v: TimeSeries(v)),
+    ("points", "reals", lambda v: PhaseSpace(v, EmbeddingParams(m=2))),
+    ("integrals", "reals", lambda v: _feature_vector(integrals=v)),
+    ("radii", "reals", lambda v: _feature_vector(radii=v)),
+    ("radii", "nonnegative reals", lambda v: correlation_integral(_lorenz_ps(), v)),
+    ("radii", "nonnegative reals", lambda v: correlation_dimension(_lorenz_ps(), v)),
+]
+ARRAY_IDS = [
+    "TimeSeries", "PhaseSpace", "ChaosFeatureVector-integrals", "ChaosFeatureVector-radii",
+    "correlation_integral", "correlation_dimension",
+]
+
+
+@pytest.mark.parametrize("name, what, call", ARRAY_SITES, ids=ARRAY_IDS)
+@pytest.mark.parametrize("value", [
+    "abc", ["a", "b", "c"], [["a", "b"]], ["1.5", "2"], [b"1", b"2"], [[1.0, 2.0], [3.0]],
+    [1j, 2j], np.array([[1.0, 2j]]), {"a": 1.0},
+], ids=[
+    "str", "strs", "nested-strs", "numeric-strs", "bytes", "ragged", "complex", "complex-array",
+    "dict",
+])
+def test_array_rejected(name, what, call, value):
+    message = rf"^{name} must be {what}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValidationError, match=message):
+        call(value)
+
+
+def test_check_reals():
+    given = [1, 2.5, np.float32(3.0)]
+    got = check_reals("x", given, "reals")
+    assert got.dtype == np.float64 and got.tolist() == [1.0, 2.5, 3.0]
+    given = np.arange(3.0)
+    assert check_reals("x", given, "reals") is not given
+    with pytest.raises(ValidationError, match=r"^x must be several reals, got 'a'$"):
+        check_reals("x", "a", "several reals")
 
 
 # (name, what, call, good): call(value) runs a site that takes a sequence

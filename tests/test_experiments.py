@@ -407,7 +407,7 @@ class TestClassification:
         def no_work(*args, **kwargs):
             raise AssertionError("instance built before delays was checked")
 
-        monkeypatch.setattr(experiments, "_generate", no_work)
+        monkeypatch.setattr(experiments, "generate_system", no_work)
         monkeypatch.setattr(experiments, "feature_vector", no_work)
         message = rf"^tau must be an integer >= 1, got {re.escape(repr(delays))}$"
         insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
@@ -425,7 +425,7 @@ class TestClassification:
         def no_work(*args, **kwargs):
             raise AssertionError("trajectory generated before the settings were checked")
 
-        monkeypatch.setattr(experiments, "_generate", no_work)
+        monkeypatch.setattr(experiments, "generate_system", no_work)
         with pytest.raises(ValidationError, match=rf"^{message}"):
             classification_experiment(per_class=20, **setting)
 

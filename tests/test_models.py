@@ -2,6 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phaseshape import (
     GenConfig,
@@ -13,7 +14,6 @@ from phaseshape import (
     rk4_integrate,
     rossler_generate,
 )
-from phaseshape import models
 from phaseshape.models import BUNDLED, generate_system
 
 
@@ -115,60 +115,68 @@ class TestRk4:
         with pytest.raises(NumericalError, match=r"^non-finite state at integration step 1$"):
             rk4_integrate(lambda y: (1.0 / (y - 1.0),), [1.0], 0.1, 50)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("y0", [
-        [[0.1], [1.0]],
-        # rows 1 and 2 go non-finite at the same step, each in one component
-        [[0.1, 0.1], [0.1, 1.0], [1.0, 0.1]],
-    ])
-    def test_batch_divergence_names_row(self, y0):
-        # A component from 0.1 blows up only near t=10; from 1.0, past t=1
-        msg = r"^non-finite state at integration step 13 \(row 1\)$"
-        with pytest.raises(NumericalError, match=msg):
-            rk4_integrate(lambda *y: [c * c for c in y], y0, 0.1, 50)
-
     def test_state_shapes(self):
         def neg(*y):
             return [-c for c in y]
 
-        assert rk4_integrate(neg, [[1.0, 2.0]] * 3, 0.1, 5).shape == (6, 3, 2)
+        assert rk4_integrate(neg, [1.0, 2.0], 0.1, 5).shape == (6, 2)
         assert rk4_integrate(neg, 1.0, 0.1, 5).shape == (6, 1)
+        with pytest.raises(ValidationError, match=r"^y0 must have shape \(dim,\), got \(3, 2\)$"):
+            rk4_integrate(neg, [[1.0, 2.0]] * 3, 0.1, 5)
         with pytest.raises(ValidationError, match="y0"):
             rk4_integrate(neg, np.ones((2, 2, 1)), 0.1, 5)
         with pytest.raises(ValidationError, match="y0"):
             rk4_integrate(neg, [[1.0, 2.0], [3.0]], 0.1, 5)
 
 
-class TestBatch:
-    # k = 20 is the batch size of the perfbench synthetic-shape workload. The
-    # batch steps as arrays, each row's own (3,) integration as floats.
-    @pytest.mark.parametrize("k", [1, 4, 20])
-    @pytest.mark.parametrize("system", BUNDLED)
-    def test_rows_equal_single_integrations(self, system, k):
-        cls = BUNDLED[system]
-        deriv = cls().deriv
-        ics = np.random.default_rng(k).uniform(*cls.ic_box, (k, 3))
-        batch = rk4_integrate(deriv, ics, cls.default_dt, 2000)
-        assert batch.shape == (2001, k, 3)
-        for row, ic in enumerate(ics):
-            assert np.array_equal(batch[:, row], rk4_integrate(deriv, ic, cls.default_dt, 2000))
+def _cubic(u):
+    """A bounded nonlinear 1-D derivative."""
+    return u - u * u * u / 3.0 + 0.5
 
-    @pytest.mark.parametrize("system", BUNDLED)
-    def test_batch_generation_equals_single(self, system):
-        configs = [
-            GenConfig(n=300, seed=1),
-            GenConfig(n=120, transient=50, ic=(2.0, -1.0, 4.0)),
-            GenConfig(n=2, transient=0),
-        ]
-        for got, config in zip(models._generate(system, configs), configs):
-            want = generate_system(system, config)
-            assert (got.n, got.dt, got.label) == (want.n, want.dt, want.label)
-            assert np.array_equal(_stack(got), _stack(want))
 
-    def test_batch_needs_one_dt(self):
-        with pytest.raises(ValidationError, match="one dt"):
-            models._generate("lorenz", [GenConfig(n=10), GenConfig(n=10, dt=0.02)])
+def _per_component(f, y0, dt, n_steps):
+    """The 1-D loop run on each component of the uncoupled system (f, f, f)."""
+    return np.column_stack([rk4_integrate(lambda u: (f(u),), [c], dt, n_steps)[:, 0] for c in y0])
 
+
+def _error_message(call):
+    with pytest.raises(NumericalError) as info:
+        call()
+    return str(info.value)
+
+
+class TestThreeComponentLoop:
+    # The written-out 3-component loop takes the 1-D loop's operations in
+    # its order, so an uncoupled system equals the 1-D loop per component.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        y0=st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * 3),
+        dt=st.floats(1e-3, 0.1, allow_nan=False),
+    )
+    def test_uncoupled_equals_one_dimensional(self, y0, dt):
+        got = rk4_integrate(lambda x, y, z: (_cubic(x), _cubic(y), _cubic(z)), y0, dt, 200)
+        want = _per_component(_cubic, y0, dt, 200)
+        assert got.shape == want.shape == (201, 3)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("where", range(3))
+    @pytest.mark.parametrize("f, bad, good, dt, step", [
+        # y' = y ** 2 overflows past t = 1 from 1.0, near t = 10 from 0.1
+        (lambda u: u ** 2, 1.0, 0.1, 0.1, 13),
+        # y' = -1 steps down by dt; 0.0 / u divides by zero at the last
+        # stage of the step that starts at u = dt
+        (lambda u: -1.0 + 0.0 / u, 2.0, 20.0, 0.25, 8),
+    ], ids=["overflow", "zero-division"])
+    def test_float_errors_name_the_one_dimensional_step(self, where, f, bad, good, dt, step):
+        y0 = [good] * 3
+        y0[where] = bad
+        want = _error_message(lambda: rk4_integrate(lambda u: (f(u),), [bad], dt, 50))
+        assert want == f"non-finite state at integration step {step}"
+        got = _error_message(lambda: rk4_integrate(lambda x, y, z: (f(x), f(y), f(z)), y0, dt, 50))
+        assert got == want
+
+
+class TestGenerateSystem:
     @pytest.mark.parametrize("system, params", [
         ("rossler", LorenzParams()),
         ("lorenz", RosslerParams()),

@@ -34,6 +34,8 @@ run help-chaos chaos --help
 run help-classify classify --help
 run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
 run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
+# a step too large for Lorenz: the integration diverges, exit code 3
+run gen-diverge gen-model lorenz --n 100 --dt 1.0 --out diverge.csv
 run features-d2 features lorenz.csv --kind D2 --tau 11
 for kind in D1 D3 DT1 DT2; do
     run "features-$kind" features lorenz.csv --tau 11 --kind "$kind"
