@@ -165,11 +165,13 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     if y0.ndim != 1:
         raise ValidationError(f"y0 must have shape (dim,), got {y0.shape}")
     s = [check_real(f"y0[{i}]", v) for i, v in enumerate(y0)]
-    rows = [s]
+    # The states collected one list per component, each converted once
+    cols = [[v] for v in s]
     h2, h6 = 0.5 * dt, dt / 6.0
     try:
         if len(s) == 3:
             x, y, z = s
+            xa, ya, za = (c.append for c in cols)
             for _ in range(n_steps):
                 ax, ay, az = deriv(x, y, z)
                 bx, by, bz = deriv(x + h2 * ax, y + h2 * ay, z + h2 * az)
@@ -178,7 +180,9 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
                 x = x + h6 * (ax + (bx + bx) + (cx + cx) + dx)
                 y = y + h6 * (ay + (by + by) + (cy + cy) + dy)
                 z = z + h6 * (az + (bz + bz) + (cz + cz) + dz)
-                rows.append((x, y, z))
+                xa(x)
+                ya(y)
+                za(z)
         else:
             for _ in range(n_steps):
                 k1 = deriv(*s)
@@ -189,14 +193,17 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
                     a + h6 * (b1 + (b2 + b2) + (b3 + b3) + b4)
                     for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
                 ]
-                rows.append(s)
+                for c, v in zip(cols, s):
+                    c.append(v)
     except (OverflowError, ZeroDivisionError):
         # Python floats raise where arrays overflow to inf or divide to inf
-        # or nan: the step being taken, row len(rows), leaves the finite
+        # or nan: the step being taken, row len(cols[0]), leaves the finite
         # range, if no earlier step did. It and the rows after it stay inf.
         pass
-    out = np.full((n_steps + 1, len(s)), np.inf)
-    out[: len(rows)] = rows
+    out = np.full((len(s), n_steps + 1), np.inf)
+    for row, c in zip(out, cols):
+        row[: len(c)] = c
+    out = out.T
     # A non-finite component stays non-finite under a + ..., so the first
     # row with one is the step where the state left the finite range.
     finite = np.isfinite(out).all(axis=1)

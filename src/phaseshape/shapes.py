@@ -8,6 +8,13 @@ binned into a fixed-size histogram that serves as the dynamical feature:
 - D3: square root of the area of the triangle of three random points
 - DT1: D2 restricted to pairs at most ``delta`` samples apart in time
 - DT2: D2 weighted by exp(-gamma * |time separation|)
+
+Every distance is one formula, the one ``chaos`` uses: the squared
+coordinate differences added in coordinate order, then the root; D3's Gram
+terms add their coordinate products in that order. Up to m = 7 this is
+numpy's row sum, so the samples equal ``np.linalg.norm(a - b, axis=1)``;
+from m = 8 numpy sums a row pairwise, and some samples differ from that in
+the last bits.
 """
 
 from __future__ import annotations
@@ -122,7 +129,10 @@ class ShapeDistribution:
         widths = np.diff(edges)
         if (widths <= 0).any():
             raise ValidationError("bin edges must be strictly increasing")
-        if np.ptp(widths) > 1e-9 * widths[0]:
+        # np.histogram's linspace rounds each edge to within about one unit
+        # in the last place of the largest edge, so its widths differ by up
+        # to two such units: at millions of bins more than 1e-9 of a width.
+        if np.ptp(widths) > 1e-9 * widths[0] + 4 * np.spacing(np.abs(edges).max()):
             raise ValidationError("bins must have uniform width")
         mass.setflags(write=False)
         edges.setflags(write=False)
@@ -177,11 +187,12 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
     if p < need:
         raise ValidationError(f"{cfg.kind} needs at least {need} points, got {p}")
     rng = np.random.default_rng(cfg.seed)
+    x = pts.T  # coordinate-major: x.take(i, axis=1) gathers the (m, n) planes
 
     if cfg.kind == "D1":
-        centroid = pts.mean(axis=0)
         i = rng.integers(0, p, n)
-        return np.linalg.norm(pts[i] - centroid, axis=1)
+        d = x.take(i, axis=1) - pts.mean(axis=0)[:, None]
+        return np.sqrt(_coordinate_dot(d, d))
 
     if cfg.kind == "DT1":
         # Weight each admissible time offset by its pair count, then place
@@ -191,7 +202,8 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
         weights = (p - offsets).astype(float)
         ds = rng.choice(offsets, size=n, p=weights / weights.sum())
         i = (rng.random(n) * (p - ds)).astype(np.int64)
-        return np.linalg.norm(pts[i] - pts[i + ds], axis=1)
+        d = x.take(i, axis=1) - x.take(i + ds, axis=1)
+        return np.sqrt(_coordinate_dot(d, d))
 
     i = rng.integers(0, p, n)
     j = rng.integers(0, p - 1, n)
@@ -202,14 +214,27 @@ def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
         k = rng.integers(0, p - 2, n)
         k = k + (k >= lo)
         k = k + (k >= hi)  # distinct triple
-        v1 = pts[j] - pts[i]
-        v2 = pts[k] - pts[i]
+        xi = x.take(i, axis=1)
+        v1 = x.take(j, axis=1) - xi
+        v2 = x.take(k, axis=1) - xi
         # Squared triangle area via the Gram determinant, valid in any dimension
-        gram = (v1 * v1).sum(axis=1) * (v2 * v2).sum(axis=1) - ((v1 * v2).sum(axis=1)) ** 2
+        gram = _coordinate_dot(v1, v1) * _coordinate_dot(v2, v2) - _coordinate_dot(v1, v2) ** 2
         area = 0.5 * np.sqrt(np.maximum(gram, 0.0))
         return np.sqrt(area)
-    d = np.linalg.norm(pts[i] - pts[j], axis=1)
+    d = x.take(i, axis=1) - x.take(j, axis=1)
+    d = np.sqrt(_coordinate_dot(d, d))
     return d if cfg.kind == "D2" else np.exp(-cfg.gamma * np.abs(i - j)) * d
+
+
+def _coordinate_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-column dot products of coordinate-major u and v, each of shape
+    (m, n): the products of coordinate planes added in coordinate order.
+    Every sample's squared distance is this sum of its difference with
+    itself, the formula chaos._squared_sums computes."""
+    s = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        s += a * b
+    return s
 
 
 def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:

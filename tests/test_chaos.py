@@ -24,7 +24,7 @@ from phaseshape import (
     lle_rosenstein,
 )
 
-from oracles import cloud
+from oracles import cloud, pair_square
 
 
 def _lorenz_ps(series):
@@ -390,15 +390,8 @@ def _tied_clouds(draw):
     return rng.integers(0, 2, size=(p, m)).astype(float)
 
 
-def _pair_square(a, b) -> float:
-    # The squared differences summed coordinate by coordinate, as the block
-    # kernel's row sums are; np.linalg.norm(a - b) on one pair is a BLAS dot
-    # that differs from both in the last bit on some pairs when m >= 2.
-    return sum(c * c for c in a - b)
-
-
 def _pair_distance(a, b) -> float:
-    return math.sqrt(_pair_square(a, b))
+    return math.sqrt(pair_square(a, b))
 
 
 def _oracle_neighbors(pts, theiler) -> list:
@@ -553,7 +546,7 @@ class TestDistanceBlocksOracle:
             assert d.shape[1] == p - s
             assert 8 * m * d.size <= chaos.BLOCK_BYTES or d.shape[0] == 1
             for r, c in np.ndindex(d.shape):
-                assert d[r, c] == _pair_square(pts[s + r], pts[s + c])
+                assert d[r, c] == pair_square(pts[s + r], pts[s + c])
                 seen.add((s + r, s + c))
         assert {(i, j) for i in range(p) for j in range(i + 1, p)} <= seen
 

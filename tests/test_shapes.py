@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from phaseshape import (
     shape_distribution,
 )
 
-from oracles import cloud, exhaustive_d2
+from oracles import cloud, coordinate_dot, exhaustive_d2, pair_square
 
 
 def _square_ps():
@@ -101,6 +103,19 @@ class TestShapeDistribution:
             ShapeDistribution(
                 np.array([0.5, 0.5]), np.array([0.0, 1.0, 4.0]), 10, ShapeConfig()
             )
+
+    @pytest.mark.parametrize("top", [3.0, 2.000001])
+    def test_hand_built_uneven_edges_rejected(self, top):
+        # the tolerance's units in the last place of the largest edge are
+        # far below a width difference of 1 or 1e-6
+        with pytest.raises(ValidationError, match="uniform"):
+            ShapeDistribution(np.array([0.5, 0.5]), np.array([0.0, 1.0, top]), 10, ShapeConfig())
+
+    def test_many_bins_accept_histogram_edges(self):
+        # 5e6 bins: the edges np.histogram builds over [0, 8.25] differ in
+        # width by a unit in the last place of 8.25, over 1e-9 of a width
+        d = build_histogram([1.0, 8.25], ShapeConfig(bins=5_000_000, normalization="raw-range"))
+        assert d.bins == 5_000_000 and d.mass[-1] == 0.5
 
     def test_to_dict_keys(self):
         ps = _square_ps()
@@ -230,6 +245,35 @@ class TestSampling:
             ps, resolve_config(ps, ShapeConfig(kind="DT2", n_samples=3000, gamma=0.5, seed=4))
         )
         assert (dt2 <= d2 + 1e-15).all()
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("kind", ["D1", "D2", "D3", "DT1", "DT2"])
+    def test_samples_match_loop_oracle(self, kind, m):
+        # Every sample is, bit for bit, the loop formula on one admissible
+        # tuple of a 10-point cloud. Coordinates of mixed magnitude make the
+        # order of the coordinate sum show in the last bits.
+        rng = np.random.default_rng(m)
+        pts = rng.normal(size=(10, m)) * 10.0 ** rng.uniform(-4, 4, size=(10, m))
+        ps = cloud(pts)
+        c = resolve_config(ps, ShapeConfig(kind=kind, n_samples=3000, delta=2, gamma=0.3))
+        if kind == "D1":
+            centroid = pts.mean(axis=0)
+            expect = {math.sqrt(pair_square(a, centroid)) for a in pts}
+        elif kind == "D3":
+            expect = set()
+            for i, j, k in itertools.permutations(range(10), 3):
+                v1, v2 = pts[j] - pts[i], pts[k] - pts[i]
+                gram = coordinate_dot(v1, v1) * coordinate_dot(v2, v2) - coordinate_dot(v1, v2) ** 2
+                expect.add(math.sqrt(0.5 * math.sqrt(max(gram, 0.0))))
+        else:
+            expect = set()
+            for i, j in itertools.permutations(range(10), 2):
+                d = math.sqrt(pair_square(pts[i], pts[j]))
+                if kind == "DT2":
+                    d = np.exp(-c.gamma * abs(i - j)) * d
+                if kind != "DT1" or 0 < j - i <= c.delta:
+                    expect.add(float(d))
+        assert set(sample_shape(ps, c).tolist()) <= expect
 
     @pytest.mark.parametrize(
         "kind, p, need",

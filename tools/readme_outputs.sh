@@ -43,6 +43,11 @@ done
 for kind in D1 D2 D3 DT1 DT2; do
     run "features-raw-$kind" features rossler.csv --normalization raw-range --kind "$kind"
 done
+# m = 8: each sample sums 8 coordinate terms, which numpy's row sum would
+# group pairwise; these pin the summation order of the shape distances
+for kind in D1 D2 D3 DT1 DT2; do
+    run "features-m8-$kind" features lorenz.csv --tau 11 --m 8 --kind "$kind"
+done
 run features-auto features lorenz.csv --tau auto --out features.json
 run chaos-tau11 chaos lorenz.csv --tau 11
 run chaos-auto chaos rossler.csv
