@@ -3,14 +3,17 @@
 Two benchmark systems are provided with the parameter sets used throughout
 the reference experiments: the Lorenz system (sigma=16, rho=45.92, beta=4,
 dt=0.01) and the Rossler system (a=0.15, b=0.2, c=10, dt=0.12). Each params
-class is the one description of its system: its derivative and, as class
-variables, its default step, ic box, delay and lengths. ``BUNDLED`` maps the
-system names to those classes.
+class is the one description of its system: as class variables, its
+derivative ``formula``, default step, ic box, delay and lengths. ``BUNDLED``
+maps the system names to those classes. At import each class's formula is
+compiled, through one template, into its ``deriv`` method and into an RK4
+loop with the formula written into every stage, which ``rk4_integrate``
+runs for an instance of the class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -30,10 +33,63 @@ __all__ = [
 ]
 
 
+# One template for every params class: {formula} is the class's time
+# derivative in its field names and x, y, z, and {bind} reads those fields
+# into locals of the same names. _compiled makes two methods of it: deriv,
+# and _rk4_steps, the RK4 loop rk4_integrate runs for an instance, which takes
+# the component loop's operations in their order, with the formula written into
+# all four stages and the state on float locals, so the two loops agree bit
+# for bit; it appends each new state's components, and raises OverflowError
+# or ZeroDivisionError at the step where the component loop would.
+_TEMPLATE = """\
+def deriv(self, x, y, z):
+    \"""Time derivative (dx, dy, dz) of one state: {formula}.\"""
+    {bind}
+    return {formula}
+
+def _rk4_steps(self, x, y, z, dt, n_steps, x_append, y_append, z_append):
+    {bind}
+    h2, h6 = 0.5 * dt, dt / 6.0
+    for _ in range(n_steps):
+        x0, y0, z0 = x, y, z
+        k1x, k1y, k1z = {formula}
+        x, y, z = x0 + h2 * k1x, y0 + h2 * k1y, z0 + h2 * k1z
+        k2x, k2y, k2z = {formula}
+        x, y, z = x0 + h2 * k2x, y0 + h2 * k2y, z0 + h2 * k2z
+        k3x, k3y, k3z = {formula}
+        x, y, z = x0 + dt * k3x, y0 + dt * k3y, z0 + dt * k3z
+        k4x, k4y, k4z = {formula}
+        x = x0 + h6 * (k1x + (k2x + k2x) + (k3x + k3x) + k4x)
+        y = y0 + h6 * (k1y + (k2y + k2y) + (k3y + k3y) + k4y)
+        z = z0 + h6 * (k1z + (k2z + k2z) + (k3z + k3z) + k4z)
+        x_append(x)
+        y_append(y)
+        z_append(z)
+"""
+
+
+def _compiled(cls):
+    """Give a params class the ``deriv`` and ``_rk4_steps`` methods that
+    _TEMPLATE makes of its ``formula``."""
+    names = [f.name for f in fields(cls)]
+    bind = f"{', '.join(names)} = {', '.join(f'self.{nm}' for nm in names)}"
+    source = _TEMPLATE.format(formula=cls.formula, bind=bind)
+    made = {}
+    exec(compile(source, f"<{cls.__name__}.formula>", "exec"), {"__name__": __name__}, made)
+    for name, fn in made.items():
+        fn.__qualname__ = f"{cls.__name__}.{name}"
+        setattr(cls, name, fn)
+    return cls
+
+
+@_compiled
 @dataclass(frozen=True)
 class LorenzParams:
     """Control parameters of x' = sigma(y-x), y' = x(rho-z)-y, z' = xy-beta z."""
 
+    # The time derivative (dx, dy, dz) of one state: only + - * on the
+    # fields and x, y, z. _compiled makes deriv and the RK4 loop of it.
+    formula: ClassVar[str] = "sigma * (y - x), x * (rho - z) - y, x * y - beta * z"
     # Default step, and the (low, high) box seeded initial conditions are drawn from.
     default_dt: ClassVar[float] = 0.01
     ic_box: ClassVar[tuple] = ((-10.0, -10.0, -10.0), (10.0, 10.0, 10.0))
@@ -53,16 +109,13 @@ class LorenzParams:
         for f in ("sigma", "rho", "beta"):
             object.__setattr__(self, f, check_real(f, getattr(self, f)))
 
-    def deriv(self, x, y, z):
-        """Time derivative (dx, dy, dz) of one state: only + - * on the
-        components."""
-        return self.sigma * (y - x), x * (self.rho - z) - y, x * y - self.beta * z
 
-
+@_compiled
 @dataclass(frozen=True)
 class RosslerParams:
     """Control parameters of x' = -y-z, y' = x+ay, z' = b+z(x-c)."""
 
+    formula: ClassVar[str] = "-y - z, x + a * y, b + z * (x - c)"
     default_dt: ClassVar[float] = 0.12
     ic_box: ClassVar[tuple] = ((-5.0, -5.0, 0.0), (5.0, 5.0, 5.0))
     default_tau: ClassVar[int] = 8
@@ -76,10 +129,6 @@ class RosslerParams:
     def __post_init__(self):
         for f in ("a", "b", "c"):
             object.__setattr__(self, f, check_real(f, getattr(self, f)))
-
-    def deriv(self, x, y, z):
-        """Time derivative (dx, dy, dz), as LorenzParams.deriv."""
-        return -y - z, x + self.a * y, self.b + z * (x - self.c)
 
 
 # The bundled systems: name -> params class, in seed-key order.
@@ -126,19 +175,21 @@ class GenConfig:
 def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     """Integrate y' = deriv(y) with the classic fourth-order Runge-Kutta step.
 
-    ``deriv`` takes the state's components and returns their derivatives,
-    ``deriv(*y) -> (dy0, dy1, ...)``. The state steps as Python floats. A
-    3-component state, as both bundled systems have, steps through one loop
-    written out on three float locals; any other dimension through a loop
-    over the component list. Both take the same operations in the same
-    order, so they agree bit for bit.
+    ``deriv`` is either an instance of a ``BUNDLED`` params class, whose RK4
+    loop was compiled with its formula written into every stage, or a
+    callable that takes the state's components and returns their
+    derivatives, ``deriv(*y) -> (dy0, dy1, ...)``, stepped by one loop over
+    the component list. The state steps as Python floats. Both loops take
+    the same operations in the same order, so an instance and its ``deriv``
+    method agree bit for bit.
 
     Parameters
     ----------
-    deriv : callable
-        Maps the state's components to their time derivatives.
+    deriv : params instance or callable
+        A ``BUNDLED`` params instance, or a map of the state's components
+        to their time derivatives.
     y0 : array_like, shape (dim,)
-        Initial state of finite reals.
+        Initial state of finite reals; 3 of them for a params instance.
     dt : float
         Fixed step size.
     n_steps : int
@@ -164,26 +215,19 @@ def rk4_integrate(deriv, y0, dt: float, n_steps: int) -> np.ndarray:
     y0 = np.array(y0, dtype=object, ndmin=1)
     if y0.ndim != 1:
         raise ValidationError(f"y0 must have shape (dim,), got {y0.shape}")
+    compiled = isinstance(deriv, tuple(BUNDLED.values()))
+    if compiled and len(y0) != 3:
+        raise ValidationError(
+            f"y0 must have shape (3,) for {type(deriv).__name__}, got {y0.shape}"
+        )
     s = [check_real(f"y0[{i}]", v) for i, v in enumerate(y0)]
     # The states collected one list per component, each converted once
     cols = [[v] for v in s]
-    h2, h6 = 0.5 * dt, dt / 6.0
     try:
-        if len(s) == 3:
-            x, y, z = s
-            xa, ya, za = (c.append for c in cols)
-            for _ in range(n_steps):
-                ax, ay, az = deriv(x, y, z)
-                bx, by, bz = deriv(x + h2 * ax, y + h2 * ay, z + h2 * az)
-                cx, cy, cz = deriv(x + h2 * bx, y + h2 * by, z + h2 * bz)
-                dx, dy, dz = deriv(x + dt * cx, y + dt * cy, z + dt * cz)
-                x = x + h6 * (ax + (bx + bx) + (cx + cx) + dx)
-                y = y + h6 * (ay + (by + by) + (cy + cy) + dy)
-                z = z + h6 * (az + (bz + bz) + (cz + cz) + dz)
-                xa(x)
-                ya(y)
-                za(z)
+        if compiled:
+            deriv._rk4_steps(*s, dt, n_steps, *(c.append for c in cols))
         else:
+            h2, h6 = 0.5 * dt, dt / 6.0
             for _ in range(n_steps):
                 k1 = deriv(*s)
                 k2 = deriv(*[a + h2 * b for a, b in zip(s, k1)])
@@ -233,7 +277,7 @@ def generate_system(system: str, config: GenConfig, params=None) -> MultiSeries:
         raise ValidationError(f"{system} needs {cls.__name__}, got {type(params).__name__}")
     dt = cls.default_dt if config.dt is None else config.dt
     steps = config.transient + config.n - 1
-    kept = rk4_integrate(params.deriv, _initial_state(cls, config), dt, steps)[config.transient :]
+    kept = rk4_integrate(params, _initial_state(cls, config), dt, steps)[config.transient :]
     channels = tuple(
         TimeSeries(kept[:, i], dt=dt, name=nm) for i, nm in enumerate(("x", "y", "z"))
     )

@@ -132,7 +132,10 @@ class ShapeDistribution:
         # np.histogram's linspace rounds each edge to within about one unit
         # in the last place of the largest edge, so its widths differ by up
         # to two such units: at millions of bins more than 1e-9 of a width.
-        if np.ptp(widths) > 1e-9 * widths[0] + 4 * np.spacing(np.abs(edges).max()):
+        # The unit is taken at half the edge and doubled, which is finite
+        # even at the largest double.
+        ulp = 2 * np.spacing(np.abs(edges).max() / 2)
+        if np.ptp(widths) > 1e-9 * widths[0] + 4 * ulp:
             raise ValidationError("bins must have uniform width")
         mass.setflags(write=False)
         edges.setflags(write=False)
@@ -172,12 +175,15 @@ def resolve_config(ps: PhaseSpace, config: ShapeConfig) -> ShapeConfig:
     return replace(config, delta=delta, gamma=float(gamma))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sample_shape(ps: PhaseSpace, config: ShapeConfig) -> np.ndarray:
     """Draw ``config.n_samples`` values of the configured shape function.
 
     Random indices are drawn uniformly and are distinct within each tuple;
     DT1 pairs are drawn uniformly from the set of index pairs whose time
-    separation is at most ``delta``. Deterministic given the seed.
+    separation is at most ``delta``. Deterministic given the seed. Points
+    far enough from the origin to overflow give non-finite samples, which
+    build_histogram rejects, without a numpy warning.
     """
     cfg = resolve_config(ps, config)
     pts = ps.points
@@ -271,7 +277,10 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
         v, top = np.zeros(s.size), (top if mean_norm else 1.0)
     else:
         v = np.minimum(s / scale, top) if mean_norm else s
-    counts, edges = np.histogram(v, bins=config.bins, range=(0.0, top))
+    # At a top near the largest double, linspace's bins * (top / bins) can
+    # overflow before it sets the last edge to top itself
+    with np.errstate(over="ignore"):
+        counts, edges = np.histogram(v, bins=config.bins, range=(0.0, top))
     return ShapeDistribution(counts / counts.sum(), edges, int(s.size), config, degenerate)
 
 

@@ -243,6 +243,18 @@ class TestFeatures:
             assert dist["mass"][0] == 1.0
             assert dist["edges"][-1] == 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["D1", "D2", "D3", "DT1", "DT2"])
+    def test_overflowing_samples_are_one_error_line(self, tmp_path, capsys, kind):
+        # values near the largest double: their differences, squares and
+        # mean overflow, and the non-finite samples are the one message,
+        # with no numpy warning before it
+        x = np.random.default_rng(0).uniform(-1.0, 1.0, 400) * np.finfo(float).max
+        path = tmp_path / "big.csv"
+        write_csv(MultiSeries((TimeSeries(x, name="x"),)), path)
+        assert main(["features", str(path), "--tau", "3", "--kind", kind]) == 2
+        assert capsys.readouterr().err == "error: channel 0: non-finite sample value\n"
+
     def test_bad_kind_is_usage_error(self, rossler_csv):
         assert main(["features", str(rossler_csv), "--kind", "D7"]) == 1
 

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -145,9 +145,45 @@ def _error_message(call):
     return str(info.value)
 
 
+def _states_or_error(deriv, y0, dt, n_steps):
+    """The integrated states' bytes, or the NumericalError message."""
+    try:
+        return rk4_integrate(deriv, y0, dt, n_steps).tobytes()
+    except NumericalError as e:
+        return str(e)
+
+
 class TestThreeComponentLoop:
-    # The written-out 3-component loop takes the 1-D loop's operations in
-    # its order, so an uncoupled system equals the 1-D loop per component.
+    # A bundled params instance steps through the loop compiled from its
+    # formula, its deriv method through the loop over the component list.
+    # Both take the same operations in the same order, so they agree bit for
+    # bit, and that loop on an uncoupled system equals the 1-D loop per
+    # component.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("cls", BUNDLED.values(), ids=list(BUNDLED))
+    def test_compiled_equals_component_loop(self, cls, data):
+        params = cls(**{
+            f.name: data.draw(st.floats(0.9 * f.default, 1.1 * f.default), label=f.name)
+            for f in fields(cls)
+        })
+        y0 = [data.draw(st.floats(lo, hi), label="ic") for lo, hi in zip(*cls.ic_box)]
+        dt = data.draw(st.floats(0.1 * cls.default_dt, 2.0 * cls.default_dt), label="dt")
+        # a long step can leave the finite range: then both name one step
+        assert _states_or_error(params, y0, dt, 300) == _states_or_error(params.deriv, y0, dt, 300)
+
+    def test_overflow_names_the_same_step(self):
+        # the gen-model --dt 1.0 run of README "Testing"
+        p = LorenzParams()
+        for deriv in (p, p.deriv):
+            message = _error_message(lambda: rk4_integrate(deriv, (1.0, 1.0, 1.0), 1.0, 1099))
+            assert message == "non-finite state at integration step 3"
+
+    def test_params_need_three_components(self):
+        want = r"^y0 must have shape \(3,\) for RosslerParams, got \(2,\)$"
+        with pytest.raises(ValidationError, match=want):
+            rk4_integrate(RosslerParams(), [1.0, 2.0], 0.1, 5)
+
     @settings(max_examples=40, deadline=None)
     @given(
         y0=st.tuples(*[st.floats(-3.0, 3.0, allow_nan=False)] * 3),

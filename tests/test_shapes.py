@@ -111,6 +111,25 @@ class TestShapeDistribution:
         with pytest.raises(ValidationError, match="uniform"):
             ShapeDistribution(np.array([0.5, 0.5]), np.array([0.0, 1.0, top]), 10, ShapeConfig())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("edges", [
+        [0.0, 0.4, 1.0],
+        [0.0, 0.5 * (1 + 2.0 ** -20), 1.0],
+    ], ids=["0.4", "near-half"])
+    def test_uneven_edges_at_the_largest_double_rejected(self, edges):
+        # the unit in the last place of the largest double is finite, so
+        # the tolerance is too, and no overflow warning is raised
+        edges = np.array(edges) * np.finfo(float).max
+        with pytest.raises(ValidationError, match="uniform"):
+            ShapeDistribution(np.array([0.5, 0.5]), edges, 10, ShapeConfig())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_histogram_edges_at_the_largest_double_accepted(self):
+        # 7 * (top / 7) rounds above the largest double inside linspace
+        top = np.finfo(float).max
+        d = build_histogram([top / 3, top], ShapeConfig(bins=7, normalization="raw-range"))
+        assert d.bin_edges[-1] == top and d.mass[-1] == 0.5
+
     def test_many_bins_accept_histogram_edges(self):
         # 5e6 bins: the edges np.histogram builds over [0, 8.25] differ in
         # width by a unit in the last place of 8.25, over 1e-9 of a width

@@ -34,6 +34,11 @@ run help-chaos chaos --help
 run help-classify classify --help
 run gen-lorenz gen-model lorenz --n 5000 --out lorenz.csv
 run gen-rossler gen-model rossler --n 2000 --seed 7 --out rossler.csv
+# non-default parameters and no transient: each field flag binds into the
+# RK4 loop compiled from the system's formula
+run gen-lorenz-params gen-model lorenz --n 1000 --rho 28 --sigma 10 --out lorenz-params.csv
+run gen-rossler-params gen-model rossler --n 1000 --c 5.7 --seed 3 --out rossler-params.csv
+run gen-no-transient gen-model lorenz --n 1000 --transient 0 --seed 5 --out lorenz-t0.csv
 # a step too large for Lorenz: the integration diverges, exit code 3
 run gen-diverge gen-model lorenz --n 100 --dt 1.0 --out diverge.csv
 run features-d2 features lorenz.csv --kind D2 --tau 11
