@@ -106,9 +106,11 @@ class LLEConfig:
         object.__setattr__(self, "k_max", check_int("k_max", self.k_max, 3))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_period(x) -> float | None:
     """Mean period in samples: reciprocal of the power-weighted mean
-    frequency of the spectrum (DC removed). None for a flat/empty spectrum."""
+    frequency of the spectrum (DC removed). None for a flat/empty spectrum,
+    NaN without a numpy warning when the samples overflow the spectrum."""
     x0 = np.asarray(x, dtype=float)
     x0 = x0 - x0.mean()
     p = np.abs(np.fft.rfft(x0)) ** 2
@@ -128,13 +130,16 @@ def default_lle_config(ps: PhaseSpace) -> LLEConfig:
 
     theiler = round(mean period), k_max = round(3 mean periods), clamped so
     the divergence curve precondition P > theiler + k_max + 1 holds. A
-    degenerate spectrum falls back to multiples of the embedding delay.
+    degenerate spectrum falls back to multiples of the embedding delay; one
+    that overflows is a ValidationError.
     """
     p = len(ps.points)
     mp = _mean_period(ps.points[:, 0])
     if mp is None:
         theiler = 4 * ps.params.tau
         k_max = 12 * ps.params.tau
+    elif not np.isfinite(mp):
+        raise ValidationError("samples too large for the mean period: the spectrum overflows")
     else:
         theiler = max(1, int(round(mp)))
         k_max = int(round(3.0 * mp))
@@ -509,7 +514,7 @@ def chaos_feature_vector(series: TimeSeries, embed: EmbeddingParams) -> ChaosFea
     the 8 standard radii with the same theiler exclusion; corr_dim is the
     log-log slope over those radii.
     """
-    if np.ptp(series.samples) == 0.0:
+    if series.samples.min() == series.samples.max():
         raise ValidationError("constant series has no attractor geometry")
     ps = delay_embed(series, embed)
     res = lle_rosenstein(ps, dt=series.dt)

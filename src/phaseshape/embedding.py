@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, channel_errors, check_int, check_reals
-from .models import BUNDLED
 from .series import MultiSeries, TimeSeries
 
 __all__ = [
@@ -88,13 +87,16 @@ def autocorrelation(series: TimeSeries) -> np.ndarray:
     n = x.size
     if n < 4:
         raise ValidationError(f"series too short to estimate a delay: {n} samples, need at least 4")
-    x0 = x - x.mean()
     # FFT-based autocovariance; pad to a power of two >= 2N to avoid wrap-around
     nfft = 1
     while nfft < 2 * n:
         nfft *= 2
-    f = np.fft.rfft(x0, nfft)
-    c = np.fft.irfft(f * np.conj(f), nfft)[: n // 4 + 1]
+    # Samples near the largest double overflow the autocovariance, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.fft.rfft(x - x.mean(), nfft)
+        c = np.fft.irfft(f * np.conj(f), nfft)[: n // 4 + 1]
+    if not np.isfinite(c).all():
+        raise ValidationError("samples too large to estimate a delay: the autocovariance overflows")
     if c[0] <= 0:
         raise ValidationError("zero-variance series (constant input)")
     r = c / c[0]
@@ -109,9 +111,8 @@ class DelayEstimate:
     ``method`` is "zero-crossing" when the autocorrelation reached a
     non-positive value, "local-minimum" when the first local minimum was
     used instead, and "max-lag" when neither occurred within range. A delay
-    given as an int (the CLI's ``--tau``) is "flag", and a bundled system's
-    ``default_tau`` "default"; the one rule that picks among them is
-    ``embedding._resolve_delay``.
+    given as an int (the CLI's ``--tau``, or a bundled system's
+    ``default_tau``) is "flag".
     """
 
     tau: int
@@ -154,22 +155,10 @@ def delay_embed(series: TimeSeries, params: EmbeddingParams) -> PhaseSpace:
     return PhaseSpace(points=pts, params=params)
 
 
-def _resolve_delay(channel: TimeSeries, label, tau) -> DelayEstimate:
-    """The package's one delay rule: an int is the delay ("flag"); None
-    gives a bundled label's ``default_tau`` ("default"), else the channel's
-    own estimate. The caller checks a given int (``per_channel`` and
-    ``classification_experiment`` up front)."""
-    if tau is not None:
-        return DelayEstimate(tau, "flag")
-    if label in BUNDLED:
-        return DelayEstimate(BUNDLED[label].default_tau, "default")
-    return estimate_delay(channel)
-
-
 def per_channel(series: MultiSeries, m, tau, featurize) -> list:
     """``(DelayEstimate, featurize(channel, EmbeddingParams(m, delay)))`` for
-    each channel, the delay by ``_resolve_delay``: ``tau`` when given, else
-    a bundled label's ``default_tau``, else the channel's estimate.
+    each channel: a given ``tau`` is every channel's delay ("flag"), and
+    None gives each channel its own ``estimate_delay``. No label is read.
 
     ``m`` and a given ``tau`` are checked before any channel is read; an
     error from a channel's delay or feature is prefixed ``channel k: ``.
@@ -180,6 +169,6 @@ def per_channel(series: MultiSeries, m, tau, featurize) -> list:
     out = []
     for ci, ch in enumerate(series.channels):
         with channel_errors(f"channel {ci}"):
-            delay = _resolve_delay(ch, series.label, tau)
+            delay = estimate_delay(ch) if tau is None else DelayEstimate(tau, "flag")
             out.append((delay, featurize(ch, EmbeddingParams(m, delay.tau))))
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chaos import chaos_feature_vector
 from .classify import LabeledFeature, _metric_name, distances, loocv
-from .embedding import EmbeddingParams, _resolve_delay
+from .embedding import EmbeddingParams, estimate_delay
 from .errors import ValidationError, channel_errors, check_int, check_sequence
 from .models import BUNDLED, GenConfig, generate_system
 from .series import MultiSeries, load_csv, sidecar_dt
@@ -150,7 +150,8 @@ def stability_experiment(
     def one(task):
         idx, system, n = task
         cfg = replace(base, seed=_derived_seed(seed, idx))
-        return channel_distributions(trajectories[system].prefix(n), m, None, cfg)
+        series = trajectories[system].prefix(n)
+        return channel_distributions(series, m, BUNDLED[system].default_tau, cfg)
 
     results = _map(one, tasks, jobs)
     delays = {system: results[i][0][0].tau for i, system, _ in tasks}
@@ -247,9 +248,10 @@ def classification_experiment(
     per-channel shape distributions ("shape", compared with chi2 by
     default) or the 10-number chaos vector from the first channel
     ("chaos", compared with l2 since its entries can be negative).
-    ``delays`` is one delay for every instance, or None for the one delay
-    rule of ``_resolve_delay``. Shape features need every instance to have
-    the same number of channels.
+    ``delays`` is one delay for every instance. None gives each instance
+    its bundled label's ``default_tau``, else the ``estimate_delay`` of its
+    channel 0. Shape features need every instance to have the same number
+    of channels.
     """
     if features not in ("shape", "chaos"):
         raise ValidationError(f"features must be 'shape' or 'chaos', got {features!r}")
@@ -284,11 +286,16 @@ def classification_experiment(
     def one(task):
         q, inst = task
         ch0, named = inst.series.channels[0], f"instance {inst.id!r}"
-        # Channel 0's delay embeds every channel: the one per-command
-        # delay policy left (ROADMAP item 4 gives each channel its own). A
+        # The one place a label picks a delay, and channel 0's embeds every
+        # channel (ROADMAP item 4 gives each channel a label-blind one). A
         # given delay was checked up front.
-        with channel_errors(named), channel_errors("channel 0"):
-            tau = _resolve_delay(ch0, inst.series.label, delays).tau
+        if delays is not None:
+            tau = delays
+        elif inst.series.label in BUNDLED:
+            tau = BUNDLED[inst.series.label].default_tau
+        else:
+            with channel_errors(named), channel_errors("channel 0"):
+                tau = estimate_delay(ch0).tau
         params = EmbeddingParams(m=m, tau=tau)
         with channel_errors(named):
             if features == "shape":

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .embedding import DelayEstimate, EmbeddingParams, PhaseSpace, delay_embed, per_channel
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, check_int, check_real, check_reals
 from .series import MultiSeries
 
 __all__ = [
@@ -101,46 +101,41 @@ class ShapeConfig:
 
 @dataclass(frozen=True, eq=False)
 class ShapeDistribution:
-    """A normalized B-bin histogram of shape-function samples.
+    """A normalized histogram of shape-function samples over B equal bins
+    on [0, ``top``].
 
-    ``mass`` sums to 1 and ``bin_edges`` are B+1 uniformly spaced values;
-    ``config`` is the ``ShapeConfig`` the samples were drawn and binned
+    ``mass`` holds the B bin masses, which sum to 1; ``top`` is the upper
+    edge, a finite real > 0, and ``bin_edges`` the B+1 edges derived from
+    it; ``config`` is the ``ShapeConfig`` the samples were drawn and binned
     with. ``degenerate`` marks samples whose scale (mean or max) or bin
     width is zero or subnormal: the full mass then sits in bin 0.
     """
 
     mass: np.ndarray
-    bin_edges: np.ndarray
+    top: float
     sample_count: int
     config: ShapeConfig
     degenerate: bool = False
 
     def __post_init__(self):
-        mass = np.array(self.mass, dtype=float)
-        edges = np.array(self.bin_edges, dtype=float)
-        if mass.ndim != 1 or edges.ndim != 1 or edges.size != mass.size + 1:
-            raise ValidationError(
-                f"need B masses and B+1 edges, got {mass.shape} and {edges.shape}"
-            )
+        mass = check_reals("mass", self.mass, "reals")
+        if mass.ndim != 1 or mass.size == 0:
+            raise ValidationError(f"mass must be a nonempty 1-D array, got shape {mass.shape}")
         if (mass < 0).any():
             raise ValidationError("negative bin mass")
-        if abs(mass.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"bin mass sums to {mass.sum()!r}, expected 1")
-        widths = np.diff(edges)
-        if (widths <= 0).any():
-            raise ValidationError("bin edges must be strictly increasing")
-        # np.histogram's linspace rounds each edge to within about one unit
-        # in the last place of the largest edge, so its widths differ by up
-        # to two such units: at millions of bins more than 1e-9 of a width.
-        # The unit is taken at half the edge and doubled, which is finite
-        # even at the largest double.
-        ulp = 2 * np.spacing(np.abs(edges).max() / 2)
-        if np.ptp(widths) > 1e-9 * widths[0] + 4 * ulp:
-            raise ValidationError("bins must have uniform width")
+        if not abs(mass.sum() - 1.0) <= 1e-9:
+            raise ValidationError(f"bin mass sums to {float(mass.sum())!r}, expected 1")
         mass.setflags(write=False)
-        edges.setflags(write=False)
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "bin_edges", edges)
+        object.__setattr__(self, "top", check_real("top", self.top, 0, strict=True))
+        object.__setattr__(self, "sample_count", check_int("sample_count", self.sample_count, 1))
+
+    @property
+    def bin_edges(self) -> np.ndarray:
+        """The B+1 edges ``np.histogram`` bins over [0, top]: its linspace,
+        whose ``bins * (top / bins)`` can overflow at the largest double."""
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, self.top, self.bins + 1)
 
     @property
     def bins(self) -> int:
@@ -277,11 +272,10 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
         v, top = np.zeros(s.size), (top if mean_norm else 1.0)
     else:
         v = np.minimum(s / scale, top) if mean_norm else s
-    # At a top near the largest double, linspace's bins * (top / bins) can
-    # overflow before it sets the last edge to top itself
+    # np.histogram builds bin_edges, whose linspace can overflow inside
     with np.errstate(over="ignore"):
-        counts, edges = np.histogram(v, bins=config.bins, range=(0.0, top))
-    return ShapeDistribution(counts / counts.sum(), edges, int(s.size), config, degenerate)
+        counts, _ = np.histogram(v, bins=config.bins, range=(0.0, top))
+    return ShapeDistribution(counts / counts.sum(), top, int(s.size), config, degenerate)
 
 
 def shape_distribution(ps: PhaseSpace, config: ShapeConfig) -> ShapeDistribution:

@@ -39,6 +39,16 @@ def rossler_csv(tmp_path):
     return path
 
 
+@pytest.fixture()
+def big_csv(tmp_path):
+    # values near the largest double: their differences, squares and sums
+    # overflow
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, 400) * np.finfo(float).max
+    path = tmp_path / "big.csv"
+    write_csv(MultiSeries((TimeSeries(x, name="x"),)), path)
+    return path
+
+
 def _sine_csv(path, n=400, period=20.0):
     x = np.sin(2 * np.pi * np.arange(n) / period)
     write_csv(MultiSeries((TimeSeries(x, name="x"),)), path)
@@ -245,21 +255,38 @@ class TestFeatures:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["D1", "D2", "D3", "DT1", "DT2"])
-    def test_overflowing_samples_are_one_error_line(self, tmp_path, capsys, kind):
-        # values near the largest double: their differences, squares and
-        # mean overflow, and the non-finite samples are the one message,
-        # with no numpy warning before it
-        x = np.random.default_rng(0).uniform(-1.0, 1.0, 400) * np.finfo(float).max
-        path = tmp_path / "big.csv"
-        write_csv(MultiSeries((TimeSeries(x, name="x"),)), path)
-        assert main(["features", str(path), "--tau", "3", "--kind", kind]) == 2
+    def test_overflowing_samples_are_one_error_line(self, big_csv, capsys, kind):
+        # the non-finite samples are the one message, with no numpy warning
+        # before it
+        assert main(["features", str(big_csv), "--tau", "3", "--kind", kind]) == 2
         assert capsys.readouterr().err == "error: channel 0: non-finite sample value\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_autocovariance_is_one_error_line(self, big_csv, capsys):
+        # under --tau auto the delay estimate refuses the autocovariance the
+        # samples overflow, with no numpy warning before it
+        assert main(["features", str(big_csv), "--tau", "auto"]) == 2
+        assert capsys.readouterr().err == (
+            "error: channel 0: samples too large to estimate a delay:"
+            " the autocovariance overflows\n"
+        )
 
     def test_bad_kind_is_usage_error(self, rossler_csv):
         assert main(["features", str(rossler_csv), "--kind", "D7"]) == 1
 
 
 class TestChaos:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_mean_period_is_one_error_line(self, big_csv, capsys):
+        # under a given delay the mean period's spectrum overflows, and the
+        # windows are refused instead of rounded from NaN, with no numpy
+        # warning before it
+        assert main(["chaos", str(big_csv), "--tau", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: channel 0: samples too large for the mean period:"
+            " the spectrum overflows\n"
+        )
+
     def test_payload_structure(self, tmp_path, capsys):
         path = tmp_path / "ros.csv"
         assert main(["gen-model", "rossler", "--n", "600", "--out", str(path)]) == 0

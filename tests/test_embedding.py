@@ -13,7 +13,7 @@ from phaseshape import (
     embedding,
     estimate_delay,
 )
-from phaseshape.embedding import DelayEstimate, _resolve_delay, per_channel
+from phaseshape.embedding import DelayEstimate, per_channel
 from phaseshape.models import BUNDLED
 
 from oracles import cloud
@@ -171,22 +171,6 @@ def _sine(period, n=600):
     return TimeSeries(np.sin(2 * np.pi * np.arange(n) / period))
 
 
-class TestResolveDelay:
-    """The one delay rule behind --tau, the experiments and ``per_channel``."""
-
-    def test_given_delay(self):
-        ch = _sine(40)
-        assert _resolve_delay(ch, "slow", 5) == DelayEstimate(5, "flag")
-        assert _resolve_delay(ch, None, np.int64(5)) == DelayEstimate(5, "flag")
-
-    def test_bundled_default_else_estimate(self):
-        ch = _sine(40)
-        for system, cls in BUNDLED.items():
-            assert _resolve_delay(ch, system, None) == DelayEstimate(cls.default_tau, "default")
-        for label in ("slow", None):
-            assert _resolve_delay(ch, label, None) == estimate_delay(ch)
-
-
 def _embed_len(ch, embed):
     return len(delay_embed(ch, embed))
 
@@ -200,10 +184,13 @@ class TestPerChannel:
         assert results[0][0].tau != results[1][0].tau
 
     def test_given_and_default_delays(self):
-        series = MultiSeries((_sine(40), _sine(12)), label="lorenz")
-        tau = BUNDLED["lorenz"].default_tau
+        # No label picks a delay: a series labelled with a bundled system
+        # still gets each channel's estimate, not the system's default_tau
+        series = MultiSeries((_sine(40), _sine(12)), label="rossler")
+        estimates = [estimate_delay(ch) for ch in series.channels]
+        assert BUNDLED["rossler"].default_tau not in [d.tau for d in estimates]
         assert per_channel(series, 3, None, _embed_len) == [
-            (DelayEstimate(tau, "default"), 600 - 2 * tau)] * 2
+            (d, 600 - 2 * d.tau) for d in estimates]
         assert per_channel(series, 3, np.int64(4), _embed_len) == [
             (DelayEstimate(4, "flag"), 592)] * 2
 

@@ -28,6 +28,9 @@ from phaseshape import (
 from oracles import cloud, coordinate_dot, exhaustive_d2, pair_square
 
 
+_MAX = float(np.finfo(float).max)
+
+
 def _square_ps():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     return cloud(pts)
@@ -89,39 +92,39 @@ class TestShapeConfig:
 
 class TestShapeDistribution:
     def test_mass_must_sum_to_one(self):
-        edges = np.linspace(0.0, 4.0, 3)
         with pytest.raises(ValidationError, match="sum"):
-            ShapeDistribution(np.array([0.5, 0.4]), edges, 10, ShapeConfig())
+            ShapeDistribution(np.array([0.5, 0.4]), 4.0, 10, ShapeConfig())
 
     def test_negative_mass_rejected(self):
-        edges = np.linspace(0.0, 4.0, 3)
         with pytest.raises(ValidationError):
-            ShapeDistribution(np.array([1.5, -0.5]), edges, 10, ShapeConfig())
+            ShapeDistribution(np.array([1.5, -0.5]), 4.0, 10, ShapeConfig())
 
-    def test_edges_must_be_uniform(self):
-        with pytest.raises(ValidationError, match="uniform"):
-            ShapeDistribution(
-                np.array([0.5, 0.5]), np.array([0.0, 1.0, 4.0]), 10, ShapeConfig()
-            )
+    @pytest.mark.parametrize("mass, top, sample_count, message", [
+        (["a", "b"], 4.0, 10, "mass must be reals, got"),
+        (["0.5", "0.5"], 4.0, 10, "mass must be reals, got"),
+        ([0.5 + 0j, 0.5], 4.0, 10, "mass must be reals, got"),
+        ([], 4.0, 10, r"mass must be a nonempty 1-D array, got shape \(0,\)"),
+        ([[0.5, 0.5]], 4.0, 10, r"mass must be a nonempty 1-D array, got shape \(1, 2\)"),
+        ([np.nan, 1.0], 4.0, 10, "bin mass sums to nan, expected 1"),
+        ([0.5, 0.5], "4", 10, "top must be a finite real > 0, got '4'"),
+        ([0.5, 0.5], 0.0, 10, "top must be a finite real > 0, got 0.0"),
+        ([0.5, 0.5], -1.0, 10, "top must be a finite real > 0, got -1.0"),
+        ([0.5, 0.5], np.inf, 10, "top must be a finite real > 0, got inf"),
+        ([0.5, 0.5], np.nan, 10, "top must be a finite real > 0, got nan"),
+        ([0.5, 0.5], 4.0, 0, "sample_count must be an integer >= 1, got 0"),
+        ([0.5, 0.5], 4.0, 2.5, "sample_count must be an integer >= 1, got 2.5"),
+        ([0.5, 0.5], 4.0, True, "sample_count must be an integer >= 1, got True"),
+    ], ids=["strings", "numeric-strings", "complex", "empty", "2-D", "nan-mass", "string-top",
+            "zero-top", "negative-top", "inf-top", "nan-top", "zero-count", "float-count",
+            "bool-count"])
+    def test_invalid_fields_rejected(self, mass, top, sample_count, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            ShapeDistribution(mass, top, sample_count, ShapeConfig())
 
-    @pytest.mark.parametrize("top", [3.0, 2.000001])
-    def test_hand_built_uneven_edges_rejected(self, top):
-        # the tolerance's units in the last place of the largest edge are
-        # far below a width difference of 1 or 1e-6
-        with pytest.raises(ValidationError, match="uniform"):
-            ShapeDistribution(np.array([0.5, 0.5]), np.array([0.0, 1.0, top]), 10, ShapeConfig())
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("edges", [
-        [0.0, 0.4, 1.0],
-        [0.0, 0.5 * (1 + 2.0 ** -20), 1.0],
-    ], ids=["0.4", "near-half"])
-    def test_uneven_edges_at_the_largest_double_rejected(self, edges):
-        # the unit in the last place of the largest double is finite, so
-        # the tolerance is too, and no overflow warning is raised
-        edges = np.array(edges) * np.finfo(float).max
-        with pytest.raises(ValidationError, match="uniform"):
-            ShapeDistribution(np.array([0.5, 0.5]), edges, 10, ShapeConfig())
+    def test_edges_derived_from_top(self):
+        d = ShapeDistribution(np.array([0.25, 0.75]), np.float64(3), np.int64(8), ShapeConfig())
+        assert type(d.top) is float and type(d.sample_count) is int
+        assert d.bin_edges.tolist() == [0.0, 1.5, 3.0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_histogram_edges_at_the_largest_double_accepted(self):
@@ -387,6 +390,25 @@ class TestHistogram:
         dist = build_histogram(samples, ShapeConfig(bins=bins, normalization=normalization))
         assert isinstance(dist, ShapeDistribution)
         assert dist.bins == bins and dist.sample_count == len(samples)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        # Raw-range tops reach the largest double, where linspace overflows
+        # inside; the second list kind gives the degenerate tops
+        st.lists(st.floats(min_value=0.0, allow_infinity=False)
+                 | st.sampled_from([_MAX, _MAX / 3]), min_size=1)
+        | st.lists(st.floats(min_value=0.0, max_value=1e-307), min_size=1),
+        st.integers(min_value=1, max_value=10_000) | st.just(1_000_000),
+        st.sampled_from(["mean-normalized", "raw-range"]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_edges_are_numpy_histogram_edges(self, samples, bins, normalization):
+        # bin_edges is derived from top; it must be the very edges
+        # np.histogram bins over, or the reported edges would move
+        dist = build_histogram(samples, ShapeConfig(bins=bins, normalization=normalization))
+        with np.errstate(over="ignore"):
+            _, edges = np.histogram(np.zeros(0), bins=bins, range=(0.0, dist.top))
+        assert dist.bin_edges.tobytes() == edges.tobytes()
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValidationError):

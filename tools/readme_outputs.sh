@@ -88,3 +88,11 @@ run features-flat-tau11 features flat.csv --tau 11
 run features-flat-raw features flat.csv --tau 11 --normalization raw-range
 # a bad setting is reported, unprefixed, before any channel is read
 run chaos-m0 chaos lorenz.csv --m 0
+# 400 values near the largest double: their sums and squares overflow, and
+# each command ends in one error line with exit code 2 and no numpy warning
+python3 -c 'import numpy as np
+x = np.random.default_rng(0).uniform(-1.0, 1.0, 400) * np.finfo(float).max
+np.savetxt("big.csv", x, fmt="%.17g")'
+run features-big-auto features big.csv --tau auto
+run features-big-tau3 features big.csv --tau 3
+run chaos-big-tau3 chaos big.csv --tau 3
