@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
-from .errors import NumericalError, ValidationError, check_int, check_real, check_reals
+from .errors import (
+    NumericalError, ValidationError, check_int, check_real, check_reals, check_sequence,
+)
 from .series import TimeSeries
 
 __all__ = [
@@ -107,12 +109,11 @@ class LLEConfig:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _mean_period(x) -> float | None:
+def _mean_period(x: np.ndarray) -> float | None:
     """Mean period in samples: reciprocal of the power-weighted mean
     frequency of the spectrum (DC removed). None for a flat/empty spectrum,
     NaN without a numpy warning when the samples overflow the spectrum."""
-    x0 = np.asarray(x, dtype=float)
-    x0 = x0 - x0.mean()
+    x0 = x - x.mean()
     p = np.abs(np.fft.rfft(x0)) ** 2
     freqs = np.fft.rfftfreq(len(x0))
     p[0] = 0.0
@@ -454,8 +455,9 @@ class ChaosFeatureVector:
     """The 10-number baseline feature: [lambda1, corr_dim, C(r1..r8)].
 
     radii are the 8 correlation-integral radii (geometric, 5% to 100% of
-    the attractor diameter); integrals is C at those radii, nondecreasing
-    in [0, 1]. Fit diagnostics ride along for reporting.
+    the attractor diameter), finite, > 0 and strictly increasing; integrals
+    is C at those radii, nondecreasing in [0, 1]. Fit diagnostics ride along
+    for reporting; fit_range is the lambda1 fit's steps (lo, hi), 0 <= lo < hi.
     """
 
     lambda1: float
@@ -473,10 +475,12 @@ class ChaosFeatureVector:
             raise ValidationError(
                 f"expected {N_RADII} radii and integrals, got {radii.shape} and {integrals.shape}"
             )
-        if (integrals < 0).any() or (integrals > 1).any():
+        if not ((integrals >= 0) & (integrals <= 1)).all():
             raise ValidationError("correlation integrals must lie in [0, 1]")
         if (np.diff(integrals) < 0).any():
             raise ValidationError("correlation integrals must be nondecreasing in r")
+        if not (np.isfinite(radii).all() and radii[0] > 0 and (np.diff(radii) > 0).all()):
+            raise ValidationError("radii must be finite, > 0 and strictly increasing")
         integrals.setflags(write=False)
         radii.setflags(write=False)
         object.__setattr__(self, "integrals", integrals)
@@ -484,6 +488,9 @@ class ChaosFeatureVector:
         for f in ("lambda1", "corr_dim", "r2"):
             object.__setattr__(self, f, check_real(f, getattr(self, f)))
         object.__setattr__(self, "theiler", check_int("theiler", self.theiler, 0))
+        lo, hi = check_sequence("fit_range", self.fit_range, "2 integers", 2)
+        lo = check_int("fit_range[0]", lo, 0)
+        object.__setattr__(self, "fit_range", (lo, check_int("fit_range[1]", hi, lo + 1)))
 
     @property
     def low_r2(self) -> bool:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_reals
 
 __all__ = [
     "LabeledFeature",
@@ -47,10 +47,10 @@ def distances(vector, vectors, metric: str) -> np.ndarray:
     and l2 is the root of a dot product, as in ``np.linalg.norm``.
     """
     name = _metric_name(metric)
-    v = np.asarray(vector, dtype=float)
+    v = check_reals("vector", vector, "reals")
     if v.ndim != 1:
         raise ValidationError(f"{name} expects a 1-D vector, got shape {v.shape}")
-    rows = [np.asarray(r, dtype=float) for r in vectors]
+    rows = [check_reals(f"vectors[{k}]", r, "reals") for k, r in enumerate(vectors)]
     for r in rows:
         if r.shape != v.shape:
             raise ValidationError(f"{name} expects 1-D vectors of length {v.size}, got {r.shape}")
@@ -78,7 +78,7 @@ class LabeledFeature:
             raise ValidationError("feature id must be nonempty")
         if not self.label:
             raise ValidationError("feature label must be nonempty")
-        v = np.array(self.vector, dtype=float)
+        v = check_reals("feature vector", self.vector, "reals")
         if v.ndim != 1 or v.size == 0:
             raise ValidationError(f"feature vector must be nonempty 1-D, got shape {v.shape}")
         if not np.isfinite(v).all():
@@ -114,7 +114,8 @@ def nn_classify(vector, items: Sequence[LabeledFeature], metric: str = "chi2") -
 class ConfusionMatrix:
     """Counts[i, j] = items of true label i predicted as label j.
 
-    Labels are sorted; rows index the truth, columns the prediction.
+    Labels are sorted; rows index the truth, columns the prediction, and
+    each count is an integer >= 0.
     """
 
     labels: tuple
@@ -122,7 +123,7 @@ class ConfusionMatrix:
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        counts = np.array(self.counts, dtype=int)
+        counts = np.asarray(self.counts, dtype=object)
         if len(labels) < 1 or len(set(labels)) != len(labels):
             raise ValidationError("labels must be nonempty and unique")
         if list(labels) != sorted(labels):
@@ -131,8 +132,7 @@ class ConfusionMatrix:
             raise ValidationError(
                 f"counts must be {len(labels)}x{len(labels)}, got {counts.shape}"
             )
-        if (counts < 0).any():
-            raise ValidationError("counts must be nonnegative")
+        counts = np.array([check_int("counts", c, 0) for c in counts.flat]).reshape(counts.shape)
         counts.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "counts", counts)

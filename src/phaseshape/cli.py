@@ -260,9 +260,8 @@ def _fmt(value) -> str:
 def _write_stability_artifacts(report, out_dir: Path) -> list[Path]:
     """report.json, distances.csv, and one histogram CSV per instance."""
     order = report.artifacts["order"]
-    dmat = np.asarray(report.artifacts["distance_matrix"], dtype=float)
     lines = ["id," + ",".join(order)]
-    for name, row in zip(order, dmat):
+    for name, row in zip(order, report.artifacts["distance_matrix"]):
         lines.append(name + "," + ",".join(f"{v:.17g}" for v in row))
     files = {"report.json": report.to_json(), "distances.csv": "\n".join(lines)}
 

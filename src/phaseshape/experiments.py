@@ -261,8 +261,7 @@ def classification_experiment(
     if delays is not None:
         delays = check_int("tau", delays, 1)
     m = check_int("m", m, 1)
-    if features == "shape":
-        base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
+    base = ShapeConfig(kind=kind, n_samples=n_samples, bins=bins)
     root_seed = check_int("root_seed", root_seed, 0)
     if instances is None:
         instances = synthetic_instances(per_class, root_seed, jobs=jobs)
@@ -319,8 +318,8 @@ def classification_experiment(
             "kind": kind if features == "shape" else None,
             "metric": metric,
             "m": m,
-            "bins": bins,
-            "n_samples": n_samples,
+            "bins": base.bins,
+            "n_samples": base.n_samples,
             "delays": delays,
         },
         metrics={

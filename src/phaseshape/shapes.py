@@ -248,7 +248,7 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
     they are binned as zeros over [0, 4] or [0, 1], full mass in bin 0, with
     the ``degenerate`` flag set.
     """
-    s = np.asarray(samples, dtype=float)
+    s = check_reals("samples", samples, "reals")
     if s.ndim != 1 or s.size == 0:
         raise ValidationError(f"samples must be a nonempty 1-D array, got shape {s.shape}")
     if not np.isfinite(s).all():
@@ -268,13 +268,14 @@ def build_histogram(samples, config: ShapeConfig) -> ShapeDistribution:
     top = MEAN_NORM_TOP if mean_norm else scale
     # A zero or subnormal scale or bin width leaves too few bits to bin by
     degenerate = bool(min(scale, top / config.bins) < np.finfo(float).tiny)
+    # s is this call's own copy (check_reals), so it is binned in place
     if degenerate:
-        v, top = np.zeros(s.size), (top if mean_norm else 1.0)
-    else:
-        v = np.minimum(s / scale, top) if mean_norm else s
+        s[:], top = 0.0, (top if mean_norm else 1.0)
+    elif mean_norm:
+        np.minimum(np.divide(s, scale, out=s), top, out=s)
     # np.histogram builds bin_edges, whose linspace can overflow inside
     with np.errstate(over="ignore"):
-        counts, _ = np.histogram(v, bins=config.bins, range=(0.0, top))
+        counts, _ = np.histogram(s, bins=config.bins, range=(0.0, top))
     return ShapeDistribution(counts / counts.sum(), top, int(s.size), config, degenerate)
 
 

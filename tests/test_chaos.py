@@ -341,20 +341,50 @@ class TestChaosFeatureVector:
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
         assert rel.max() <= 0.10
 
+    FIELDS = dict(
+        lambda1=0.1, corr_dim=1.0, integrals=np.linspace(0.1, 1.0, 8),
+        radii=np.geomspace(0.05, 1.0, 8), theiler=1, fit_range=(0, 2),
+    )
+
     def test_low_r2_follows_r2(self):
-        kwargs = dict(
-            lambda1=0.1, corr_dim=1.0, integrals=np.linspace(0.1, 1.0, 8),
-            radii=np.geomspace(0.05, 1.0, 8), theiler=1, fit_range=(0, 2),
-        )
         for r2, low in ((0.5, True), (0.95, False)):
-            v = ChaosFeatureVector(**kwargs, r2=r2)
+            v = ChaosFeatureVector(**self.FIELDS, r2=r2)
             assert v.low_r2 is low
             assert v.to_dict()["low_r2"] is low
         # the flag is not a setting: it cannot disagree with r2
         with pytest.raises(TypeError):
-            ChaosFeatureVector(**kwargs, r2=0.5, low_r2=False)
+            ChaosFeatureVector(**self.FIELDS, r2=0.5, low_r2=False)
         with pytest.raises(TypeError):
             LLEConfig(theiler=0, k_max=10, fit_range=(0, 5))
+
+    RANGE = r"^correlation integrals must lie in \[0, 1\]$"
+    RADII = r"^radii must be finite, > 0 and strictly increasing$"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"integrals": [math.nan] * 8}, RANGE),
+        ({"integrals": np.linspace(-0.1, 1.0, 8)}, RANGE),
+        ({"integrals": np.linspace(0.1, 1.1, 8)}, RANGE),
+        ({"integrals": np.linspace(1.0, 0.1, 8)}, r"^correlation integrals must be nondecreasing"),
+        ({"radii": [math.inf] * 8}, RADII),
+        ({"radii": [math.nan] * 8}, RADII),
+        ({"radii": [-1.0] * 8}, RADII),
+        ({"radii": np.geomspace(0.0001, 1.0, 8) - 0.001}, RADII),
+        ({"radii": [*np.geomspace(0.05, 1.0, 7), math.inf]}, RADII),
+        ({"radii": np.geomspace(1.0, 0.05, 8)}, RADII),
+        ({"radii": [1.0] * 8}, RADII),
+        ({"fit_range": ("a",)}, r"^fit_range must be a sequence of 2 integers, got \('a',\)$"),
+        ({"fit_range": 2}, r"^fit_range must be a sequence of 2 integers, got 2$"),
+        ({"fit_range": (5, 2)}, r"^fit_range\[1\] must be an integer >= 6, got 2$"),
+        ({"fit_range": (2, 2)}, r"^fit_range\[1\] must be an integer >= 3, got 2$"),
+    ], ids=[
+        "integrals-nan", "integrals-below", "integrals-above", "integrals-decreasing",
+        "radii-inf", "radii-nan", "radii-negative", "radii-first-negative", "radii-last-inf",
+        "radii-decreasing", "radii-equal", "fit-range-short", "fit-range-int",
+        "fit-range-reversed", "fit-range-empty",
+    ])
+    def test_refuses_what_the_pipeline_cannot_produce(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            ChaosFeatureVector(**{**self.FIELDS, "r2": 0.9, **changes})
 
     def test_to_dict(self, rossler_default):
         short = rossler_default.prefix(600)

@@ -13,21 +13,26 @@ import pytest
 
 from phaseshape import (
     ChaosFeatureVector,
+    ConfusionMatrix,
     EmbeddingParams,
     GenConfig,
     Instance,
+    LabeledFeature,
     LLEConfig,
     LorenzParams,
     MultiSeries,
     PhaseSpace,
     RosslerParams,
     ShapeConfig,
+    ShapeDistribution,
     TimeSeries,
     ValidationError,
+    build_histogram,
     classification_experiment,
     correlation_dimension,
     correlation_integral,
     delay_embed,
+    distances,
     generate_system,
     lle_rosenstein,
     rk4_integrate,
@@ -115,6 +120,30 @@ SITES = [
     ("n_steps", 0, lambda v: rk4_integrate(lambda y: (-y,), [1.0], 0.1, v), False),
     ("prefix length", 2, lambda v: MultiSeries((_SINE,)).prefix(v).n, True),
     ("theiler", 0, lambda v: _feature_vector(theiler=v).theiler, True),
+    (
+        "bins",
+        1,
+        lambda v: classification_experiment(
+            _tiny_instances(), features="chaos", bins=v
+        ).config["bins"],
+        True,
+    ),
+    (
+        "n_samples",
+        1,
+        lambda v: classification_experiment(
+            _tiny_instances(), features="chaos", n_samples=v
+        ).config["n_samples"],
+        True,
+    ),
+    ("fit_range[0]", 0, lambda v: _feature_vector(fit_range=(v, 5)).fit_range[0], True),
+    ("fit_range[1]", 1, lambda v: _feature_vector(fit_range=(0, v)).fit_range[1], True),
+    (
+        "counts",
+        0,
+        lambda v: ConfusionMatrix(("a", "b"), [[v, 0], [0, 1]]).to_dict()["counts"][0][0],
+        True,
+    ),
 ]
 SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 
@@ -123,7 +152,8 @@ SITE_IDS = [f"{i}-{site[0]}" for i, site in enumerate(SITES)]
 @pytest.mark.parametrize("kind", ["true", "np-true", "float", "below"])
 def test_rejected(name, low, call, keeps, kind):
     value = {"true": True, "np-true": np.True_, "float": 1.5, "below": low - 1}[kind]
-    with pytest.raises(ValidationError, match=rf"^{name} must be an integer >= {low}, got "):
+    message = rf"^{re.escape(name)} must be an integer >= {low}, got "
+    with pytest.raises(ValidationError, match=message):
         call(value)
 
 
@@ -240,10 +270,16 @@ ARRAY_SITES = [
     ("radii", "reals", lambda v: _feature_vector(radii=v)),
     ("radii", "nonnegative reals", lambda v: correlation_integral(_lorenz_ps(), v)),
     ("radii", "nonnegative reals", lambda v: correlation_dimension(_lorenz_ps(), v)),
+    ("samples", "reals", lambda v: build_histogram(v, ShapeConfig())),
+    ("vector", "reals", lambda v: distances(v, [[0.5, 0.5]], "chi2")),
+    (r"vectors\[1\]", "reals", lambda v: distances([0.5, 0.5], [[0.5, 0.5], v], "l2")),
+    ("feature vector", "reals", lambda v: LabeledFeature("a", "b", v)),
+    ("mass", "reals", lambda v: ShapeDistribution(v, 4.0, 1, ShapeConfig())),
 ]
 ARRAY_IDS = [
     "TimeSeries", "PhaseSpace", "ChaosFeatureVector-integrals", "ChaosFeatureVector-radii",
-    "correlation_integral", "correlation_dimension",
+    "correlation_integral", "correlation_dimension", "build_histogram", "distances-vector",
+    "distances-row", "LabeledFeature", "ShapeDistribution-mass",
 ]
 
 

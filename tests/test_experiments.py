@@ -436,8 +436,13 @@ class TestClassification:
 
         monkeypatch.setattr(experiments, "chaos_feature_vector", FakeChaos)
         insts = [_sine_instance("slow-0", "slow", 40), _sine_instance("fast-0", "fast", 12)]
-        rep = classification_experiment(instances=insts, features="chaos", kind="D9", bins=0)
+        rep = classification_experiment(instances=insts, features="chaos", kind="D3", bins=7)
         assert rep.config["kind"] is None
+        default = classification_experiment(instances=insts, features="chaos")
+        assert rep.artifacts == default.artifacts
+        # ignored, but still checked as shape features check them
+        with pytest.raises(ValidationError, match="^kind must be one of"):
+            classification_experiment(instances=insts, features="chaos", kind="D9")
 
     def test_too_few_instances(self):
         insts = [_sine_instance("slow-0", "slow", 40)]

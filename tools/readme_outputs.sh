@@ -75,6 +75,15 @@ mkdir -p mixed/a mixed/b
 cp lorenz.csv mixed/a/three.csv
 cut -d, -f1,2 lorenz.csv >mixed/b/two.csv
 run classify-mixed classify --dataset mixed --tau 11
+# labels p and q are not bundled system names, so classify embeds each
+# instance with the delay its channel 0 estimates
+mkdir -p data/p data/q
+for k in 1 2 3; do
+    run "gen-data-p$k" gen-model lorenz --n 1200 --seed "$k" --out "data/p/p$k.csv"
+    run "gen-data-q$k" gen-model rossler --n 600 --seed "$k" --out "data/q/q$k.csv"
+done
+run classify-data classify --dataset data --out classify_data.json
+run classify-data-chaos classify --dataset data --features chaos
 # 0..4 repeated: every nearest neighbour is an exact copy, a flat divergence curve
 for i in $(seq 100); do printf '0\n1\n2\n3\n4\n'; done >periodic.csv
 run chaos-periodic chaos periodic.csv --tau auto
