@@ -11,15 +11,18 @@ coordinate differences summed in coordinate order. ``_pair_distances``
 takes its root. A KD-tree finds the nearest-neighbor candidates; a tree
 distance that lies within TREE_MARGIN of a decision is settled with
 ``_pair_distances`` instead, so the neighbors equal those of the dense
-pairwise blocks bit for bit. The attractor diameter and the pair counts of
-C(r) are each one dense pass over ``_distance_blocks``, which covers the
-upper triangle of the squared-sum matrix in blocks of a given byte budget,
-one block alive at a time, so the working memory does not grow with the
-number of points. The dense passes take no roots: the diameter is the root
-of the largest sum, and C(r) compares each sum s with _squared_radius(r),
-the largest double whose root is at most r. Both equal the results of the
-rooted distances bit for bit, because the root is correctly rounded and
-nondecreasing.
+pairwise blocks bit for bit. The attractor diameter is one dense pass over
+``_distance_blocks``, which covers the upper triangle of the squared-sum
+matrix in row blocks. The pair counts of C(r) are one dense pass over
+``_diagonal_sums``, which covers the diagonals j - i > theiler of that
+matrix; a delay embedding's coordinates are one series shifted by tau, so
+each sample difference is squared once for all m coordinates. Both passes
+take blocks of a given byte budget, one block alive at a time, so the
+working memory does not grow with the number of points. The dense passes
+take no roots: the diameter is the root of the largest sum, and C(r)
+compares each sum s with _squared_radius(r), the largest double whose root
+is at most r. Both equal the results of the rooted distances bit for bit,
+because the root is correctly rounded and nondecreasing.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
 from .errors import (
@@ -60,15 +64,14 @@ CHUNK = 1000
 # the whole cloud in one block: at least 14 MiB.
 BLOCK_BYTES = 16 * 2**20
 
-# Bytes of one dense block of the C(r) pass. The pass scans each block once
-# per radius, so a block should stay in a core's L2 cache (4 MiB on the
-# 2-core Xeon measured). C(r) over six Lorenz P = 4978, m = 3 clouds took,
-# median of 5 interleaved rounds: 0.46 s with 0.5 MiB blocks, 0.42 s with
-# 1 MiB, 0.41 s with 1.5 MiB, 0.45 s with 2 MiB, 0.53 s with 4 MiB and
-# 0.78 s with 16 MiB (0.84 s for 16 MiB blocks of rooted distances). Under
-# tracemalloc, which the per-layer trace turns on, 2 MiB took 0.63 s and
-# 1 MiB 0.77 s, so 2 MiB.
-COUNT_BLOCK_BYTES = 2 * 2**20
+# Bytes of one block of the C(r) pass: its squared sums and the sample
+# differences they add up. The pass scans each block once per radius, so a
+# block should stay in a core's L2 cache (4 MiB on the 2-core Xeon
+# measured). C(r) on one Lorenz P = 4978, m = 3, tau = 11 channel took
+# 43.5 ms with 0.5 MiB blocks, 42.5 ms with 1 MiB and 46.2 ms with 2 MiB
+# (medians of 5 interleaved rounds over three channels). Under tracemalloc,
+# which the per-layer trace turns on, it took 94.8, 68.8 and 61.0 ms.
+COUNT_BLOCK_BYTES = 2**20
 
 # Neighbors a nearest-neighbor row first asks the tree for; k doubles until
 # the row is settled, so the result does not depend on it.
@@ -196,7 +199,7 @@ def _distance_blocks(pts: np.ndarray, budget: int):
     keep the block's (m, rows, P - s) differences within budget bytes; rows
     grow as the columns narrow. The blocks cover the upper triangle,
     diagonal included, which holds every pair once. This is the dense pass
-    behind the diameter and the pair counts of C(r).
+    behind the diameter.
     Every block is computed in one buffer, so a consumer must be done with
     a block before it asks for the next; it may overwrite the block it
     holds."""
@@ -213,6 +216,61 @@ def _distance_blocks(pts: np.ndarray, budget: int):
         out = buf[: m * rows * (p - s)].reshape(m, rows, p - s)
         yield s, _squared_sums(x[:, s : s + rows, None], x[:, None, s:], out)
         s += rows
+
+
+def _layout(ps: PhaseSpace) -> tuple[np.ndarray, int]:
+    """The cloud as (src, stride) with ps.points[i, c] == src[c * stride + i],
+    followed by P infs. A delay embedding, whose coordinate c + 1 is its
+    coordinate c shifted by tau, has stride tau < P and shares one copy of
+    its series across the coordinates; any other cloud has stride P, one
+    coordinate after another. Both layouts hold the same operands, so they
+    give the same sums bit for bit. The check is exact: -0.0 and 0.0 may
+    stand for each other, and their differences square alike."""
+    pts = ps.points
+    p, m = pts.shape
+    tau = ps.params.tau
+    stride = tau if tau < p and np.array_equal(pts[tau:, :-1], pts[:-tau, 1:]) else p
+    src = np.full((m - 1) * stride + 2 * p, np.inf)
+    for c in range(m):
+        src[c * stride : c * stride + p] = pts[:, c]
+    return src, stride
+
+
+def _diagonal_sums(ps: PhaseSpace, first: int, budget: int):
+    """Yield (d, s): the squared sums of the pairs on diagonals d, d + 1, ...
+    of the pair matrix, from d = first on. Row b, column i of s is the pair
+    (i, i + d + b), or inf past the end of its diagonal; s has P - d
+    columns, and as many rows (at least one) as keep it and its differences
+    within budget bytes. Each block squares src[a] - src[a + d + b] once for
+    every a of the layout, then adds the m coordinate planes, stride apart,
+    in coordinate order: the operands and order of _squared_sums. This is
+    the dense pass behind C(r). Every block is computed in one buffer, so a
+    consumer must be done with a block before it asks for the next."""
+    src, stride = _layout(ps)
+    p, m = ps.points.shape
+    span = (m - 1) * stride
+    # A block holds at most budget bytes unless it is one diagonal, and
+    # never more than the whole triangle from the first diagonal on.
+    n = max(p - first, 0)
+    buf = np.empty(max(min(budget // 8, n * (span + 2 * n)), span + 2 * n))
+    # Row k of the windows is src[k:], as far as the first block reads it.
+    windows = sliding_window_view(src, span + n)
+    d = first
+    while d < p:
+        n = p - d
+        a = span + n
+        rows = min(max(1, budget // (8 * (a + n))), n)
+        diff = buf[: rows * a].reshape(rows, a)
+        np.subtract(src[:a], windows[d : d + rows, :a], out=diff)
+        diff *= diff
+        s = diff
+        if m > 1:
+            s = buf[rows * a : rows * (a + n)].reshape(rows, n)
+            np.add(diff[:, :n], diff[:, stride : stride + n], out=s)
+            for c in range(2, m):
+                s += diff[:, c * stride : c * stride + n]
+        yield d, s
+        d += rows
 
 
 def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
@@ -369,17 +427,16 @@ def _admissible_pairs(p: int, theiler) -> int:
     return total
 
 
-def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -> np.ndarray:
+def _pair_fractions(ps: PhaseSpace, radii, theiler, diameter: float = np.inf) -> np.ndarray:
     """Fraction of pairs with j - i > theiler and distance <= r, per radius.
 
     A radius at least the diameter (the largest _pair_distances value, when
     the caller has it) holds every pair. The radii below it are counted in
-    one dense pass over _distance_blocks of COUNT_BLOCK_BYTES: in each block
-    the squared sums of the pairs j - i <= theiler, which include the
-    diagonal and the pairs below it, are set to inf, and the rest are
-    compared with each radius's _squared_radius.
+    one dense pass over the _diagonal_sums of COUNT_BLOCK_BYTES from
+    diagonal theiler + 1 on, which hold the admissible pairs and infs:
+    each squared sum is compared with each radius's _squared_radius.
     """
-    total = _admissible_pairs(len(pts), theiler)
+    total = _admissible_pairs(len(ps), theiler)
     radii = np.atleast_1d(check_reals("radii", radii, "nonnegative reals"))
     if radii.ndim != 1 or radii.size == 0 or not (radii >= 0).all():
         raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
@@ -389,14 +446,9 @@ def _pair_fractions(pts: np.ndarray, radii, theiler, diameter: float = np.inf) -
         return counts / total
     t = [_squared_radius(r) for r in radii[todo]]
     counts[todo] = 0
-    for _, d in _distance_blocks(pts, COUNT_BLOCK_BYTES):
-        # Row k, column c of a block from row s is the pair (s + k, s + c),
-        # admissible when c - k > theiler: the others lie in the first w columns.
-        rows = d.shape[0]
-        w = min(rows + theiler, d.shape[1])
-        d[:, :w][np.arange(w) <= np.arange(rows)[:, None] + theiler] = np.inf
+    for _, s in _diagonal_sums(ps, theiler + 1, COUNT_BLOCK_BYTES):
         for k, tk in zip(todo, t):
-            counts[k] += np.count_nonzero(d <= tk)
+            counts[k] += np.count_nonzero(s <= tk)
     return counts / total
 
 
@@ -408,7 +460,7 @@ def _default_integrals(ps: PhaseSpace, theiler) -> tuple[np.ndarray, np.ndarray]
     if dia <= 0:
         raise ValidationError("all points coincide; correlation dimension undefined")
     radii = np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
-    return radii, _pair_fractions(ps.points, radii, theiler, dia)
+    return radii, _pair_fractions(ps, radii, theiler, dia)
 
 
 def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
@@ -419,7 +471,7 @@ def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
     Accepts a single radius (returns a float) or a sequence of radii
     (returns an array of the same length).
     """
-    c = _pair_fractions(ps.points, r, theiler)
+    c = _pair_fractions(ps, r, theiler)
     return float(c[0]) if np.ndim(r) == 0 else c
 
 
@@ -447,7 +499,7 @@ def correlation_dimension(
     radii = check_reals("radii", radii, "nonnegative reals")
     if radii.ndim != 1 or len(radii) < 3 or (radii <= 0).any():
         raise ValidationError("need at least 3 positive radii")
-    return _dimension_from(radii, _pair_fractions(ps.points, radii, theiler))
+    return _dimension_from(radii, _pair_fractions(ps, radii, theiler))
 
 
 @dataclass(frozen=True, eq=False)

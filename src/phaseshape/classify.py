@@ -44,17 +44,26 @@ def distances(vector, vectors, metric: str) -> np.ndarray:
     Chi2 is 0.5 * sum (a-b)^2 / (a+b+1e-12) over nonnegative entries (a
     negative one could make the denominator vanish or flip sign). Each entry
     equals the one-pair formula bit for bit: stacked rows are summed alike,
-    and l2 is the root of a dot product, as in ``np.linalg.norm``.
+    and l2 is the root of a dot product, as in ``np.linalg.norm``. The rows
+    convert as one stacked array; an error names the first row at fault.
     """
     name = _metric_name(metric)
     v = check_reals("vector", vector, "reals")
     if v.ndim != 1:
         raise ValidationError(f"{name} expects a 1-D vector, got shape {v.shape}")
-    rows = [check_reals(f"vectors[{k}]", r, "reals") for k, r in enumerate(vectors)]
-    for r in rows:
-        if r.shape != v.shape:
-            raise ValidationError(f"{name} expects 1-D vectors of length {v.size}, got {r.shape}")
-    others = np.array(rows).reshape(len(rows), v.size)
+    try:
+        others = check_reals("vectors", vectors, "reals")
+        stacked = others.ndim == 2 and others.shape[1] == v.size
+    except ValidationError:
+        stacked = False
+    if not stacked:
+        rows = [check_reals(f"vectors[{k}]", r, "reals") for k, r in enumerate(vectors)]
+        for r in rows:
+            if r.shape != v.shape:
+                raise ValidationError(
+                    f"{name} expects 1-D vectors of length {v.size}, got {r.shape}"
+                )
+        others = np.array(rows).reshape(len(rows), v.size)
     if not (np.isfinite(v).all() and np.isfinite(others).all()):
         raise ValidationError(f"{name} got non-finite entries")
     if name == "l2":

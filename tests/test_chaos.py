@@ -11,6 +11,7 @@ from phaseshape import (
     EmbeddingParams,
     LLEConfig,
     NumericalError,
+    PhaseSpace,
     TimeSeries,
     ValidationError,
     attractor_diameter,
@@ -309,7 +310,17 @@ class TestAttractorDiameter:
         ps = cloud(np.random.default_rng(5).normal(size=(3000, 3)))
         radii, _ = chaos._default_integrals(ps, 10)
         dia = chaos.attractor_diameter(ps)
-        peak = _traced_peak(chaos._pair_fractions, ps.points, radii, 10, dia)
+        peak = _traced_peak(chaos._pair_fractions, ps, radii, 10, dia)
+        assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
+
+    def test_pair_fractions_memory_bounded_when_embedded(self):
+        # The same bound when the pass shares one copy of the series.
+        x = np.random.default_rng(5).normal(size=3022)
+        ps = delay_embed(TimeSeries(x), EmbeddingParams(3, 11))
+        assert len(ps) == 3000 and chaos._layout(ps)[1] == 11
+        radii, _ = chaos._default_integrals(ps, 10)
+        dia = chaos.attractor_diameter(ps)
+        peak = _traced_peak(chaos._pair_fractions, ps, radii, 10, dia)
         assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
 
 
@@ -420,6 +431,22 @@ def _tied_clouds(draw):
     return rng.integers(0, 2, size=(p, m)).astype(float)
 
 
+@st.composite
+def _embedded(draw):
+    """Delay embeddings of short series, rounded in some draws so that
+    distances tie and points repeat. m reaches 9 and tau 6; with P up to 30
+    points, tau is at least P in some draws."""
+    m = draw(st.integers(min_value=1, max_value=9))
+    tau = draw(st.integers(min_value=1, max_value=6))
+    p = draw(st.integers(min_value=2, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x = rng.normal(size=p + (m - 1) * tau)
+    decimals = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=1)))
+    if decimals is not None:
+        x = np.round(x, decimals)
+    return delay_embed(TimeSeries(x), EmbeddingParams(m, tau))
+
+
 def _pair_distance(a, b) -> float:
     return math.sqrt(pair_square(a, b))
 
@@ -467,27 +494,29 @@ def _oracle_curve(pts, nn, k_max) -> list:
 
 
 def _budgets(pts):
-    """Run the loop body at the current COUNT_BLOCK_BYTES, at a budget whose
-    blocks hold three rows or more, and at one that holds the whole cloud in
-    one block, so that C(r) counts the squares of multi-row blocks. The
-    diameter's BLOCK_BYTES is set alike."""
+    """Run the loop body at a budget whose C(r) blocks hold one diagonal
+    each, at one whose blocks hold three diagonals or more, and at one that
+    holds the whole triangle in one block. A C(r) block row and its
+    differences take at most 8 * (m + 1) * P bytes, in either layout. The
+    diameter's BLOCK_BYTES is set alike: one row, three rows or more, and
+    the whole cloud per block."""
     p, m = pts.shape
-    for budget in (chaos.COUNT_BLOCK_BYTES, 3 * 8 * m * p, 8 * m * p * p):
+    for budget in (8, 3 * 8 * (m + 1) * p, 8 * (m + 1) * p * p):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chaos, "BLOCK_BYTES", budget)
             mp.setattr(chaos, "COUNT_BLOCK_BYTES", budget)
             yield
 
 
-def _check_fractions(pts, radii, theiler, diameter=np.inf):
-    dists = _oracle_distances(pts, theiler)
+def _check_fractions(ps, radii, theiler, diameter=np.inf):
+    dists = _oracle_distances(ps.points, theiler)
     if len(dists) < 2:
         with pytest.raises(ValidationError, match="admissible pairs"):
-            chaos._pair_fractions(pts, radii, theiler, diameter)
+            chaos._pair_fractions(ps, radii, theiler, diameter)
         return
     expect = [sum(d <= r for d in dists) / len(dists) for r in radii]
-    for _ in _budgets(pts):
-        assert chaos._pair_fractions(pts, radii, theiler, diameter).tolist() == expect
+    for _ in _budgets(ps.points):
+        assert chaos._pair_fractions(ps, radii, theiler, diameter).tolist() == expect
 
 
 _MAX_DOUBLE = np.finfo(float).max
@@ -592,10 +621,11 @@ class TestDistanceBlocksOracle:
         # The radii ladder ends at the diameter, where C(r) must be exactly 1
         # whether the caller passes the diameter or the dense pass counts it.
         assume(len(pts) >= 3)
-        dia = attractor_diameter(cloud(pts))
+        ps = cloud(pts)
+        dia = attractor_diameter(ps)
         for _ in _budgets(pts):
-            assert chaos._pair_fractions(pts, [dia], 0, dia).tolist() == [1.0]
-            assert chaos._pair_fractions(pts, [dia], 0).tolist() == [1.0]
+            assert chaos._pair_fractions(ps, [dia], 0, dia).tolist() == [1.0]
+            assert chaos._pair_fractions(ps, [dia], 0).tolist() == [1.0]
 
     @given(
         st.one_of(_clouds(), _tied_clouds()),
@@ -609,7 +639,7 @@ class TestDistanceBlocksOracle:
         radii = [0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)[:5]]
         radii += rnd.sample(radii, 3)
         rnd.shuffle(radii)
-        _check_fractions(pts, np.array(radii), theiler)
+        _check_fractions(cloud(pts), np.array(radii), theiler)
 
     @pytest.mark.parametrize("theiler", [6, 8, 9, 10])
     def test_pair_fractions_wide_window(self, theiler):
@@ -619,17 +649,19 @@ class TestDistanceBlocksOracle:
         # and P - 1), and P - 2 leaves one, which is rejected.
         pts = np.round(np.random.default_rng(11).normal(size=(12, 2)), 1)
         radii = [0.0, 0.25, 1.0, *_oracle_distances(pts, theiler)]
-        _check_fractions(pts, np.array(radii), theiler)
+        _check_fractions(cloud(pts), np.array(radii), theiler)
 
     def test_pair_fractions_one_dense_pass(self, monkeypatch):
         # One dense pass per call when a radius lies below the diameter,
         # none when every radius is at least the diameter.
-        pts = np.random.default_rng(3).normal(size=(60, 3))
-        dia = attractor_diameter(cloud(pts))
-        dense = chaos._distance_blocks
+        ps = cloud(np.random.default_rng(3).normal(size=(60, 3)))
+        dia = attractor_diameter(ps)
+        dense = chaos._diagonal_sums
         calls = []
         monkeypatch.setattr(
-            chaos, "_distance_blocks", lambda pts, budget: calls.append(1) or dense(pts, budget)
+            chaos,
+            "_diagonal_sums",
+            lambda ps, first, budget: calls.append(1) or dense(ps, first, budget),
         )
         for radii, diameter, passes in (
             ([0.0, 0.5 * dia, dia, 2.0 * dia], dia, 1),
@@ -637,15 +669,70 @@ class TestDistanceBlocksOracle:
             ([dia, 2.0 * dia, dia], dia, 0),
         ):
             calls.clear()
-            chaos._pair_fractions(pts, radii, 2, diameter)
+            chaos._pair_fractions(ps, radii, 2, diameter)
             assert len(calls) == passes
+
+    @given(_embedded(), st.integers(min_value=0, max_value=5), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=100)
+    def test_pair_fractions_embedded(self, ps, theiler, rnd):
+        # Delay embeddings take the shared-series layout whenever tau < P.
+        radii = [0.0, 0.25, 1.0, *_oracle_distances(ps.points, theiler)[:5]]
+        radii += rnd.sample(radii, 3)
+        rnd.shuffle(radii)
+        _check_fractions(ps, np.array(radii), theiler)
+
+    @given(_embedded(), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_diagonal_sums(self, ps, data):
+        # Every pair j - i >= first once, as the per-pair loop sums it, and
+        # inf past the end of each diagonal; at any budget.
+        pts = ps.points
+        p, m = pts.shape
+        first = data.draw(st.integers(min_value=0, max_value=p + 1))
+        budget = data.draw(st.sampled_from([8, 3 * 8 * (m + 1) * p, 8 * (m + 1) * p * p]))
+        seen = []
+        for d, s in chaos._diagonal_sums(ps, first, budget):
+            assert s.shape[1] == p - d
+            assert 16 * s.size <= budget or s.shape[0] == 1
+            for b, i in np.ndindex(s.shape):
+                j = i + d + b
+                if j < p:
+                    assert s[b, i] == pair_square(pts[i], pts[j])
+                    seen.append((i, j))
+                else:
+                    assert s[b, i] == np.inf
+        assert sorted(seen) == [(i, j) for i in range(p) for j in range(i + first, p)]
+
+    @given(_embedded())
+    @settings(deadline=None, max_examples=100)
+    def test_layout(self, ps):
+        # A delay embedding shares its series when tau < P; the same points
+        # under another delay, or a cloud that is no embedding, are laid out
+        # one coordinate after another, with the same counts.
+        pts = ps.points
+        p, m = pts.shape
+        tau = ps.params.tau
+        src, stride = chaos._layout(ps)
+        assert stride == (tau if tau < p else p)
+        assert len(src) == (m - 1) * stride + 2 * p and (src[-p:] == np.inf).all()
+        for i, c in np.ndindex(pts.shape):
+            assert src[c * stride + i] == pts[i, c]
+        if m > 1:
+            raw = cloud(np.random.default_rng(p).normal(size=(p, m)))
+            assert chaos._layout(raw)[1] == p
+        assume(p >= 3)
+        radii = [0.0, 0.25, 1.0, *_oracle_distances(pts, 0)[:5]]
+        expect = chaos._pair_fractions(ps, radii, 0).tolist()
+        for other in range(1, 8):
+            moved = PhaseSpace(pts, EmbeddingParams(m, other))
+            assert chaos._pair_fractions(moved, radii, 0).tolist() == expect
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
     def test_pair_fractions_given_diameter(self, pts, theiler):
         dia = max(_pair_distance(a, b) for a in pts for b in pts)
         radii = np.array([0.0, 0.5 * dia, np.nextafter(dia, 0.0), dia, 2.0 * dia])
-        _check_fractions(pts, radii, theiler, dia)
+        _check_fractions(cloud(pts), radii, theiler, dia)
 
     @given(
         st.one_of(_clouds(), _tied_clouds()),
@@ -681,4 +768,4 @@ class TestDistanceBlocksOracle:
         )
         _check_neighbors(ps.points, theiler)
         assert calls == []
-        _check_fractions(ps.points, radii, theiler, dia)
+        _check_fractions(ps, radii, theiler, dia)

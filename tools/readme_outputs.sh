@@ -55,6 +55,10 @@ for kind in D1 D2 D3 DT1 DT2; do
 done
 run features-auto features lorenz.csv --tau auto --out features.json
 run chaos-tau11 chaos lorenz.csv --tau 11
+# both ends of m: C(r) adds m shifted planes of one series' squared
+# differences, none at m = 1 and seven at m = 8
+run chaos-m1 chaos lorenz.csv --tau 11 --m 1
+run chaos-m8 chaos lorenz.csv --tau 11 --m 8
 run chaos-auto chaos rossler.csv
 # a short Rossler run whose divergence fits fall below R^2 0.95: the
 # low-R^2 warnings and "low_r2": true
