@@ -8,21 +8,19 @@ baseline for shape-distribution features.
 Every distance these statistics compare comes from one formula,
 ``_squared_sums``, on coordinate-major (m, ...) arrays: the squared
 coordinate differences summed in coordinate order. ``_pair_distances``
-takes its root. A KD-tree finds the nearest-neighbor candidates; a tree
-distance that lies within TREE_MARGIN of a decision is settled with
-``_pair_distances`` instead, so the neighbors equal those of the dense
-pairwise blocks bit for bit. The attractor diameter is one dense pass over
+takes its root. The attractor diameter is one dense pass over
 ``_distance_blocks``, which covers the upper triangle of the squared-sum
-matrix in row blocks. The pair counts of C(r) are one dense pass over
-``_diagonal_sums``, which covers the diagonals j - i > theiler of that
-matrix; a delay embedding's coordinates are one series shifted by tau, so
-each sample difference is squared once for all m coordinates. Both passes
-take blocks of a given byte budget, one block alive at a time, so the
-working memory does not grow with the number of points. The dense passes
-take no roots: the diameter is the root of the largest sum, and C(r)
-compares each sum s with _squared_radius(r), the largest double whose root
-is at most r. Both equal the results of the rooted distances bit for bit,
-because the root is correctly rounded and nondecreasing.
+matrix in row blocks. The C(r) pair counts and the nearest neighbors come
+from one dense pass over ``_diagonal_sums``, which covers the diagonals
+j - i > theiler of that matrix; a delay embedding's coordinates are one
+series shifted by tau, so each sample difference is squared once for all m
+coordinates. Both passes take blocks of a given byte budget, one block
+alive at a time, so the working memory does not grow with the number of
+points. The diameter is the root of the largest sum, and C(r) compares
+each sum s with _squared_radius(r), the largest double whose root is at
+most r; a neighbor is picked by the roots of the column minima of a block.
+Each equals the result of the rooted distances bit for bit, because the
+root is correctly rounded and nondecreasing.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .embedding import EmbeddingParams, PhaseSpace, delay_embed
 from .errors import (
@@ -53,9 +51,6 @@ __all__ = [
     "LOW_R2_THRESHOLD",
 ]
 
-# Rows per nearest-neighbor tree query block.
-CHUNK = 1000
-
 # Bytes of one dense block of the diameter pass: its (m, rows, columns)
 # coordinate differences. The diameter of a 5000-point, m = 3 cloud took
 # 0.07 s with 0.5-2 MiB blocks, 0.10 s with 16 MiB and 0.27 s with 128 MiB,
@@ -72,15 +67,6 @@ BLOCK_BYTES = 16 * 2**20
 # (medians of 5 interleaved rounds over three channels). Under tracemalloc,
 # which the per-layer trace turns on, it took 94.8, 68.8 and 61.0 ms.
 COUNT_BLOCK_BYTES = 2**20
-
-# Neighbors a nearest-neighbor row first asks the tree for; k doubles until
-# the row is settled, so the result does not depend on it.
-K_START = 8
-
-# Relative margin within which a tree distance is not trusted to pick a
-# nearest neighbor: those candidates are re-measured with the block
-# arithmetic. Tree and block distances differ by a few ulps, far below it.
-TREE_MARGIN = 1e-9
 
 # Distances are floored here before the log to survive exact duplicates.
 DIST_FLOOR = 1e-12
@@ -273,41 +259,59 @@ def _diagonal_sums(ps: PhaseSpace, first: int, budget: int):
         d += rows
 
 
-def _nearest_neighbors(pts: np.ndarray, theiler: int) -> np.ndarray:
+def _offer(nn: np.ndarray, best: np.ndarray, v: np.ndarray, x0: int, off: int, beats) -> None:
+    """Offer each point x = x0 + c the candidates x + off + b at squared sums
+    v[b, c]. Where the least root of a column beats (np.less or
+    np.less_equal) the point's best root, nn[x] takes the first row at that
+    root and best[x] the root; only those columns are read again."""
+    root = np.sqrt(v.min(axis=0))
+    c = np.flatnonzero(beats(root, best[x0 : x0 + len(root)]))
+    if len(c):
+        g, rc, x = v[:, c], root[c], x0 + c
+        nn[x] = x + off + (np.sqrt(g, out=g) == rc).argmax(axis=0)
+        best[x] = rc
+
+
+def _pair_pass(ps: PhaseSpace, theiler: int, t, nn: np.ndarray | None = None) -> np.ndarray:
+    """Counts of the pairs j - i > theiler whose squared sum is at most each
+    of t, from one pass over the _diagonal_sums of COUNT_BLOCK_BYTES. Given
+    nn, it also writes each point's nearest neighbor among those pairs into
+    nn, ties to the smallest index. A block s from diagonal d offers point i
+    the points i + d + b above it, in ascending order, so they lose its
+    ties; s sheared by a column a row, u[b, q] = s[b, q + 1 - b] (inf where
+    q + 1 < b), offers point q + 1 + d those below it in descending order,
+    so they win them. u leaves out each block's pair (0, d): the pairs
+    (0, j) come last."""
+    p = len(ps)
+    counts = np.zeros(len(t), dtype=int)
+    if nn is not None:
+        # The middle point is the last with a neighbor beyond the window.
+        if p <= 2 * theiler + 1:
+            raise ValidationError(
+                f"theiler window {theiler} leaves some point with no admissible neighbor"
+            )
+        # Each point starts at its smallest candidate, kept if all its distances overflow.
+        nn[:] = np.where(np.arange(p) > theiler, 0, np.arange(p) + theiler + 1)
+        best = np.full(p, np.finfo(float).max)
+    for d, s in _diagonal_sums(ps, theiler + 1, COUNT_BLOCK_BYTES):
+        for k, tk in enumerate(t):
+            counts[k] += np.count_nonzero(s <= tk)
+        if nn is not None:
+            _offer(nn, best, s, 0, d, np.less)
+            u = as_strided(s[0, 1:], (len(s), s.shape[1] - 1), (s.strides[0] - 8, 8))
+            _offer(nn, best, u[::-1], d + 1, 1 - d - len(s), np.less_equal)
+    if nn is not None:
+        x = ps.points.T
+        root = np.sqrt(_squared_sums(x[:, :1], x[:, theiler + 1 :]))
+        nn[theiler + 1 :][root <= best[theiler + 1 :]] = 0
+    return counts
+
+
+def _nearest_neighbors(ps: PhaseSpace, theiler: int) -> np.ndarray:
     """Index of each point's nearest neighbor outside the theiler window,
-    ties to the smallest index.
-
-    The tree is queried in blocks of CHUNK rows. A row's k tree neighbors
-    start at K_START and k doubles, up to P, until the k-th tree distance
-    lies beyond TREE_MARGIN of the nearest admissible one. The admissible
-    candidates within that margin are re-measured with _pair_distances,
-    which picks the neighbor.
-    """
-    from scipy.spatial import cKDTree
-
-    p = len(pts)
-    # The middle point is the last with a neighbor beyond the window.
-    if p <= 2 * theiler + 1:
-        raise ValidationError(
-            f"theiler window {theiler} leaves some point with no admissible neighbor"
-        )
-    tree = cKDTree(pts)
-    x = np.ascontiguousarray(pts.T)
-    nn = np.empty(p, dtype=int)
-    for s in range(0, p, CHUNK):
-        # k stays at most P: beyond it the tree pads its results with index P
-        rows, k = np.arange(s, min(s + CHUNK, p)), min(K_START, p)
-        while len(rows):
-            dist, idx = tree.query(pts[rows], k=k)
-            ok = np.abs(idx - rows[:, None]) > theiler
-            cutoff = np.where(ok, dist, np.inf).min(axis=1, keepdims=True) * (1 + TREE_MARGIN)
-            at = np.nonzero(ok & (dist <= cutoff))
-            d = np.full(dist.shape, np.inf)
-            d[at] = _pair_distances(x.take(rows[at[0]], axis=1), x.take(idx[at], axis=1))
-            best = np.where(d == d.min(axis=1, keepdims=True), idx, p).min(axis=1)
-            done = (dist[:, -1] > cutoff[:, 0]) | (k == p)
-            nn[rows[done]] = best[done]
-            rows, k = rows[~done], min(2 * k, p)
+    ties to the smallest index: the _pair_pass with no radii."""
+    nn = np.empty(len(ps), dtype=int)
+    _pair_pass(ps, theiler, [], nn)
     return nn
 
 
@@ -315,21 +319,25 @@ def divergence_curve(ps: PhaseSpace, config: LLEConfig) -> np.ndarray:
     """Mean log separation of initially-nearest pairs after k steps.
 
     curve[k] = mean over pairs (i, nn(i)) still inside the series of
-    ln max(||x[i+k] - x[nn(i)+k]||, 1e-12), for k = 0 .. k_max-1.
+    ln max(||x[i+k] - x[nn(i)+k]||, 1e-12), for k = 0 .. k_max-1; nn comes
+    from the C(r) pass with no radii, about 38 ms at P = 4978 on a 2-core Xeon.
     """
-    pts = ps.points
-    p = len(pts)
-    if p <= config.theiler + config.k_max + 1:
+    if len(ps) <= config.theiler + config.k_max + 1:
         raise ValidationError(
             f"need more than theiler + k_max + 1 = {config.theiler + config.k_max + 1} "
-            f"points, got {p}"
+            f"points, got {len(ps)}"
         )
-    nn = _nearest_neighbors(pts, config.theiler)
+    return _curve(ps.points, config.k_max, _nearest_neighbors(ps, config.theiler))
+
+
+def _curve(pts: np.ndarray, k_max: int, nn: np.ndarray) -> np.ndarray:
+    """The divergence curve of the pairs (i, nn[i]) of the points pts."""
+    p = len(pts)
     # Pair i is alive at step k while both its points are: last < P - k.
     last = np.maximum(np.arange(p), nn)
     x = np.ascontiguousarray(pts.T)
     curve = []
-    for k in range(config.k_max):
+    for k in range(k_max):
         i = np.flatnonzero(last < p - k)
         if len(i) == 0:
             break
@@ -381,7 +389,11 @@ def lle_rosenstein(
     dt = check_real("dt", dt, 0, strict=True)
     if config is None:
         config = default_lle_config(ps)
-    curve = divergence_curve(ps, config)
+    return _fit(divergence_curve(ps, config), config, dt)
+
+
+def _fit(curve: np.ndarray, config: LLEConfig, dt: float) -> LLEResult:
+    """lambda1 and its diagnostics from the divergence curve under config."""
     if len(curve) < 3:
         raise NumericalError(f"divergence curve has only {len(curve)} usable steps")
     hi = _auto_fit_end(curve)
@@ -427,14 +439,14 @@ def _admissible_pairs(p: int, theiler) -> int:
     return total
 
 
-def _pair_fractions(ps: PhaseSpace, radii, theiler, diameter: float = np.inf) -> np.ndarray:
+def _pair_fractions(ps: PhaseSpace, radii, theiler, diameter=np.inf, nn=None) -> np.ndarray:
     """Fraction of pairs with j - i > theiler and distance <= r, per radius.
 
     A radius at least the diameter (the largest _pair_distances value, when
     the caller has it) holds every pair. The radii below it are counted in
-    one dense pass over the _diagonal_sums of COUNT_BLOCK_BYTES from
-    diagonal theiler + 1 on, which hold the admissible pairs and infs:
-    each squared sum is compared with each radius's _squared_radius.
+    one _pair_pass, which compares each squared sum with each radius's
+    _squared_radius; given nn, the pass runs even with no radius to count
+    and writes the nearest neighbors into nn.
     """
     total = _admissible_pairs(len(ps), theiler)
     radii = np.atleast_1d(check_reals("radii", radii, "nonnegative reals"))
@@ -442,25 +454,24 @@ def _pair_fractions(ps: PhaseSpace, radii, theiler, diameter: float = np.inf) ->
         raise ValidationError(f"radii must be nonnegative reals, got {radii!r}")
     counts = np.full(len(radii), total)
     todo = np.nonzero(radii < diameter)[0]
-    if len(todo) == 0:
-        return counts / total
-    t = [_squared_radius(r) for r in radii[todo]]
-    counts[todo] = 0
-    for _, s in _diagonal_sums(ps, theiler + 1, COUNT_BLOCK_BYTES):
-        for k, tk in zip(todo, t):
-            counts[k] += np.count_nonzero(s <= tk)
+    if len(todo) or nn is not None:
+        counts[todo] = _pair_pass(ps, theiler, [_squared_radius(r) for r in radii[todo]], nn)
     return counts / total
 
 
-def _default_integrals(ps: PhaseSpace, theiler) -> tuple[np.ndarray, np.ndarray]:
+def _default_integrals(ps: PhaseSpace, theiler, nn=None):
     """N_RADII geometric radii spanning RADII_SPAN of the attractor diameter,
-    and C(r) at them. theiler is checked before the O(P^2) diameter pass."""
+    and C(r) at them, or None for both where all points coincide; given nn,
+    the same pass writes the nearest neighbors into it, coinciding points
+    too. theiler is checked before the O(P^2) diameter pass."""
     _admissible_pairs(len(ps), theiler)
     dia = attractor_diameter(ps)
     if dia <= 0:
-        raise ValidationError("all points coincide; correlation dimension undefined")
+        if nn is not None:
+            _pair_pass(ps, theiler, [], nn)
+        return None, None
     radii = np.geomspace(RADII_SPAN[0] * dia, RADII_SPAN[1] * dia, N_RADII)
-    return radii, _pair_fractions(ps, radii, theiler, dia)
+    return radii, _pair_fractions(ps, radii, theiler, dia, nn)
 
 
 def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
@@ -475,8 +486,10 @@ def correlation_integral(ps: PhaseSpace, r, theiler: int = 0):
     return float(c[0]) if np.ndim(r) == 0 else c
 
 
-def _dimension_from(radii: np.ndarray, c: np.ndarray) -> float:
+def _dimension_from(radii, c) -> float:
     """Log-log slope of C(r) over radii with nontrivial fractions."""
+    if radii is None:
+        raise ValidationError("all points coincide; correlation dimension undefined")
     ok = (c > 0.0) & (c < 1.0)
     if ok.sum() < 3:
         raise NumericalError(
@@ -568,16 +581,18 @@ class ChaosFeatureVector:
 def chaos_feature_vector(series: TimeSeries, embed: EmbeddingParams) -> ChaosFeatureVector:
     """Build the 10-number chaos feature from one channel.
 
-    The channel is delay-embedded, lambda1 is estimated by
+    The channel is delay-embedded, lambda1 is estimated as by
     ``lle_rosenstein`` under its default config, and C(r) is evaluated at
-    the 8 standard radii with the same theiler exclusion; corr_dim is the
-    log-log slope over those radii.
+    the 8 standard radii with the same theiler exclusion, in the one pass
+    that finds the neighbors; corr_dim is the log-log slope over those radii.
     """
     if series.samples.min() == series.samples.max():
         raise ValidationError("constant series has no attractor geometry")
     ps = delay_embed(series, embed)
-    res = lle_rosenstein(ps, dt=series.dt)
-    radii, integrals = _default_integrals(ps, res.theiler)
+    config = default_lle_config(ps)
+    nn = np.empty(len(ps), dtype=int)
+    radii, integrals = _default_integrals(ps, config.theiler, nn)
+    res = _fit(_curve(ps.points, config.k_max, nn), config, series.dt)
     return ChaosFeatureVector(
         lambda1=res.lambda1,
         corr_dim=_dimension_from(radii, integrals),

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from phaseshape import (
     ChaosFeatureVector,
@@ -323,6 +322,22 @@ class TestAttractorDiameter:
         peak = _traced_peak(chaos._pair_fractions, ps, radii, 10, dia)
         assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
 
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_neighbor_pass_memory_bounded(self, embedded):
+        # The pass that also tracks the nearest neighbors, with and without
+        # radii, keeps the bound: in the first blocks every column improves.
+        rng = np.random.default_rng(5)
+        if embedded:
+            ps = delay_embed(TimeSeries(rng.normal(size=3022)), EmbeddingParams(3, 11))
+        else:
+            ps = cloud(rng.normal(size=(3000, 3)))
+        radii, _ = chaos._default_integrals(ps, 10)
+        dia = chaos.attractor_diameter(ps)
+        nn = np.empty(len(ps), dtype=int)
+        peak = _traced_peak(chaos._pair_fractions, ps, radii, 10, dia, nn)
+        assert peak <= 2 * chaos.COUNT_BLOCK_BYTES
+        assert _traced_peak(chaos._nearest_neighbors, ps, 10) <= 2 * chaos.COUNT_BLOCK_BYTES
+
 
 class TestChaosFeatureVector:
     def test_lorenz_vector(self, lorenz_default):
@@ -345,6 +360,30 @@ class TestChaosFeatureVector:
     def test_constant_series_rejected(self):
         with pytest.raises(ValidationError, match="constant"):
             chaos_feature_vector(TimeSeries(np.full(500, 3.0)), EmbeddingParams(3, 1))
+
+    def test_window_wider_than_half_the_cloud(self):
+        # 62 rows of a period-40 sine: the mean period gives theiler 42,
+        # wider than half the 60-point cloud, so some point has no neighbor.
+        x = np.sin(2 * np.pi * np.arange(62) / 40) + 0.01 * np.random.default_rng(0).normal(size=62)
+        with pytest.raises(ValidationError, match="^theiler window 42 leaves some point"):
+            chaos_feature_vector(TimeSeries(x), EmbeddingParams(3, 1))
+
+    @pytest.mark.parametrize(
+        "n, tau, error, match",
+        [
+            (300, 1, NumericalError, "^divergence curve is constant over the fit range$"),
+            (40, 5, ValidationError, "^theiler window 20 leaves some point with no admissible"),
+        ],
+    )
+    def test_underflowing_cloud_fails_lambda1_first(self, n, tau, error, match):
+        # Squared differences of samples near 1e-170 underflow to 0: the
+        # diameter is 0 and every pair ties at 0. The vector still raises
+        # lambda1's error, the neighbors' or the flat curve's, before C(r)'s.
+        x = 1e-170 * np.random.default_rng(0).normal(size=n)
+        with pytest.raises(error, match=match):
+            chaos_feature_vector(TimeSeries(x), EmbeddingParams(3, tau))
+        with pytest.raises(ValidationError, match="^all points coincide"):
+            correlation_dimension(delay_embed(TimeSeries(x), EmbeddingParams(3, tau)))
 
     def test_seed_robustness(self, lorenz_seeded):
         a = chaos_feature_vector(lorenz_seeded[2].channels[0], EmbeddingParams(3, 11)).vector
@@ -424,7 +463,8 @@ def _clouds(draw, min_m=1):
 @st.composite
 def _tied_clouds(draw):
     """Clouds on the corners of a unit cube: every point has many exact
-    duplicates, so nearest-neighbor rows must look past K_START."""
+    duplicates, so nearest neighbors tie across blocks and both sides of
+    each point."""
     p = draw(st.integers(min_value=2, max_value=40))
     m = draw(st.integers(min_value=1, max_value=3))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -468,13 +508,14 @@ def _oracle_distances(pts, theiler) -> list:
     return [_pair_distance(pts[i], pts[j]) for i in range(p) for j in range(i + theiler + 1, p)]
 
 
-def _check_neighbors(pts, theiler):
-    expect = _oracle_neighbors(pts, theiler)
-    if None in expect:
-        with pytest.raises(ValidationError, match="no admissible neighbor"):
-            chaos._nearest_neighbors(pts, theiler)
-    else:
-        assert chaos._nearest_neighbors(pts, theiler).tolist() == expect
+def _check_neighbors(ps, theiler):
+    expect = _oracle_neighbors(ps.points, theiler)
+    for _ in _budgets(ps.points):
+        if None in expect:
+            with pytest.raises(ValidationError, match="no admissible neighbor"):
+                chaos._nearest_neighbors(ps, theiler)
+        else:
+            assert chaos._nearest_neighbors(ps, theiler).tolist() == expect
 
 
 def _oracle_curve(pts, nn, k_max) -> list:
@@ -554,15 +595,14 @@ class TestSquaredRadius:
 
 
 class TestDistanceBlocksOracle:
-    """The chaos kernels, tree and dense, against literal per-pair loops,
-    with tree queries of 7 rows and dense blocks of 512 bytes, so that these
-    small clouds span several blocks and some dense blocks are single rows.
-    The C(r) checks also run at larger budgets (see _budgets)."""
+    """The dense chaos kernels against literal per-pair loops, with blocks
+    of 512 bytes, so that these small clouds span several blocks and some
+    blocks are single rows. The C(r) and nearest-neighbor checks also run
+    at larger budgets (see _budgets)."""
 
     @pytest.fixture(autouse=True, scope="class")
     def _small_blocks(self):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chaos, "CHUNK", 7)
             mp.setattr(chaos, "BLOCK_BYTES", 512)
             mp.setattr(chaos, "COUNT_BLOCK_BYTES", 512)
             yield
@@ -570,30 +610,52 @@ class TestDistanceBlocksOracle:
     @given(st.one_of(_clouds(), _tied_clouds()), st.integers(min_value=0, max_value=5))
     @settings(deadline=None, max_examples=100)
     def test_nearest_neighbors(self, pts, theiler):
-        _check_neighbors(pts, theiler)
+        _check_neighbors(cloud(pts), theiler)
 
     @given(st.one_of(_clouds(), _tied_clouds()), st.data())
     @settings(deadline=None, max_examples=100)
     def test_nearest_neighbors_wide_window(self, pts, data):
-        # A window wide against P leaves few admissible points per row, so
-        # rows double k several times and some query all P points.
+        # A window wide against P leaves few admissible points per row, and
+        # the middle points their only candidates at the last diagonals.
         theiler = data.draw(st.integers(min_value=0, max_value=(len(pts) - 1) // 2))
-        _check_neighbors(pts, theiler)
+        _check_neighbors(cloud(pts), theiler)
 
-    def test_nearest_neighbors_grow_k(self, monkeypatch):
-        # Two alternating points: each row has 20 neighbors at distance 0,
-        # far more than the K_START it queries first.
-        ks = []
+    @given(_embedded(), st.integers(min_value=0, max_value=5))
+    @settings(deadline=None, max_examples=100)
+    def test_nearest_neighbors_embedded(self, ps, theiler):
+        # Delay embeddings take the shared-series layout whenever tau < P.
+        _check_neighbors(ps, theiler)
 
-        class Recording(cKDTree):
-            def query(self, x, k):
-                ks.append(k)
-                return super().query(x, k=k)
+    def test_nearest_neighbors_alternating_points(self):
+        # Two alternating points: each point has 20 candidates at distance
+        # 0, on both sides of it and in many blocks; the smallest index wins.
+        _check_neighbors(cloud(np.tile([[0.0], [1.0]], (20, 1))), 2)
 
-        monkeypatch.setattr("scipy.spatial.cKDTree", Recording)
-        pts = np.tile([[0.0], [1.0]], (20, 1))
-        _check_neighbors(pts, 2)
-        assert ks[0] == chaos.K_START and max(ks) > 20
+    def test_nearest_neighbors_overflow(self):
+        # Every distance from points 1 and 17 overflows to inf, so each keeps
+        # its first candidate, the smallest index beyond the window: 4 and 0.
+        # The per-pair loops never pick an infinite distance; the other
+        # points match them.
+        pts = np.random.default_rng(1).normal(size=(30, 2))
+        pts[[1, 17]] *= 1e200
+        with np.errstate(over="ignore"):
+            expect = _oracle_neighbors(pts, 2)
+            assert expect[1] is None and expect[17] is None
+            expect[1], expect[17] = 4, 0
+            for _ in _budgets(pts):
+                assert chaos._nearest_neighbors(cloud(pts), 2).tolist() == expect
+
+    def test_nearest_neighbors_root_ties(self):
+        # Squares 2**52 and 2**52 + 1 have one root, 2**26. Point 0 has
+        # them at points 3 and 2 above it, point 7 at points 5 and 4 below
+        # it: each takes the smaller index, the larger square.
+        a, c = 2.0**26, 1e9
+        pts = np.array(
+            [[0, 0], [-c, 0], [a, 1], [a, 0], [c + a, c + 1], [c + a, c], [-c, -c], [c, c]]
+        )
+        assert np.sqrt(2.0**52) == np.sqrt(2.0**52 + 1)
+        assert _oracle_neighbors(pts, 1)[0] == 2 and _oracle_neighbors(pts, 1)[7] == 4
+        _check_neighbors(cloud(pts), 1)
 
     @given(_clouds())
     @settings(deadline=None, max_examples=100)
@@ -750,22 +812,41 @@ class TestDistanceBlocksOracle:
     def test_divergence_curve_lorenz(self, lorenz_default):
         ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
         cfg = default_lle_config(ps)
-        nn = chaos._nearest_neighbors(ps.points, cfg.theiler)
+        nn = chaos._nearest_neighbors(ps, cfg.theiler)
         assert divergence_curve(ps, cfg).tolist() == _oracle_curve(ps.points, nn, cfg.k_max)
 
-    def test_lorenz_cloud_settled_by_tree(self, lorenz_default, monkeypatch):
-        # The nearest neighbors of a continuous cloud come from the tree
-        # alone, with no dense pass; C(r) at the default radii matches the
-        # per-pair loops.
+    def test_lorenz_cloud(self, lorenz_default):
+        # A continuous cloud: the nearest neighbors and C(r) at the default
+        # radii match the per-pair loops at every budget.
         ps = delay_embed(lorenz_default.prefix(522).channels[0], EmbeddingParams(3, 11))
         theiler = default_lle_config(ps).theiler
         radii, _ = chaos._default_integrals(ps, theiler)
         dia = chaos.attractor_diameter(ps)
-        dense = chaos._distance_blocks
+        _check_neighbors(ps, theiler)
+        _check_fractions(ps, radii, theiler, dia)
+
+    def test_chaos_feature_vector_one_pass(self, lorenz_default, monkeypatch):
+        # The vector walks the diagonals once for both C(r) and the nearest
+        # neighbors, and equals the separate calls; divergence_curve and
+        # lle_rosenstein walk them once each, with no radii.
+        x = lorenz_default.prefix(522).channels[0]
+        ps = delay_embed(x, EmbeddingParams(3, 11))
+        dense = chaos._diagonal_sums
         calls = []
         monkeypatch.setattr(
-            chaos, "_distance_blocks", lambda pts, budget: calls.append(1) or dense(pts, budget)
+            chaos,
+            "_diagonal_sums",
+            lambda ps, first, budget: calls.append(first) or dense(ps, first, budget),
         )
-        _check_neighbors(ps.points, theiler)
-        assert calls == []
-        _check_fractions(ps, radii, theiler, dia)
+        v = chaos_feature_vector(x, EmbeddingParams(3, 11))
+        assert calls == [v.theiler + 1]
+        cfg = default_lle_config(ps)
+        calls.clear()
+        res = lle_rosenstein(ps, dt=x.dt)
+        radii, integrals = chaos._default_integrals(ps, cfg.theiler)
+        assert calls == [cfg.theiler + 1] * 2
+        assert (res.lambda1, res.r2, res.fit_range) == (v.lambda1, v.r2, v.fit_range)
+        assert integrals.tolist() == v.integrals.tolist()
+        calls.clear()
+        divergence_curve(ps, cfg)
+        assert calls == [cfg.theiler + 1]

@@ -532,30 +532,30 @@ def test_out_of_memory_exits_two(rossler_csv, capsys, monkeypatch):
 
 
 # Runs in a fresh interpreter, where nothing has imported scipy yet.
-_SCIPY_BOUNDARY = """
+_NO_SCIPY = """
 import sys
 import phaseshape, phaseshape.cli as cli
-assert "scipy.spatial" not in sys.modules
 for argv in (
     ["gen-model", "lorenz", "--n", "600", "--out", "l.csv"],
     ["features", "l.csv", "--tau", "11", "--samples", "300"],
+    ["chaos", "l.csv", "--tau", "11"],
     ["stability", "--lorenz-lengths", "500", "--rossler-lengths", "400", "--samples", "300"],
     ["classify", "--synthetic", "lorenz-rossler", "--per-class", "2", "--samples", "300"],
+    ["classify", "--synthetic", "lorenz-rossler", "--per-class", "2", "--features", "chaos"],
 ):
     assert cli.main(argv) == 0, argv
-    assert "scipy.spatial" not in sys.modules, argv
-assert cli.main(["chaos", "l.csv", "--tau", "11"]) == 0
-assert "scipy.spatial" in sys.modules
+    loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    assert not loaded, (argv, loaded)
 print(phaseshape.__file__)
 """
 
 
-def test_only_chaos_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_BOUNDARY], cwd=tmp_path, env=env,
+        [sys.executable, "-c", _NO_SCIPY], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

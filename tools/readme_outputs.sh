@@ -91,6 +91,17 @@ run classify-data-chaos classify --dataset data --features chaos
 # 0..4 repeated: every nearest neighbour is an exact copy, a flat divergence curve
 for i in $(seq 100); do printf '0\n1\n2\n3\n4\n'; done >periodic.csv
 run chaos-periodic chaos periodic.csv --tau auto
+# 62 rows of a period-40 sine with noise: the mean period sets a theiler
+# window of 42, wider than half the cloud, exit code 2
+python3 -c 'import numpy as np
+x = np.sin(2 * np.pi * np.arange(62) / 40) + 0.01 * np.random.default_rng(0).normal(size=62)
+np.savetxt("sine.csv", x, fmt="%.17g")'
+run chaos-no-neighbor chaos sine.csv --tau 1
+# 300 values near 1e-170: their squared differences underflow to 0, so the
+# diameter is 0, but the flat divergence curve is reported first, exit code 3
+python3 -c 'import numpy as np
+np.savetxt("tiny.csv", 1e-170 * np.random.default_rng(0).normal(size=300), fmt="%.17g")'
+run chaos-underflow chaos tiny.csv --tau 1
 # lorenz.csv's x beside a constant column: channel 1 fails, the delay
 # estimate under features and the chaos vector under a given delay
 awk -F, 'NR == 1 { print $1 ",flat"; next } { print $1 ",1" }' lorenz.csv >flat.csv
